@@ -18,6 +18,7 @@
 
 #include "bench_util.h"
 #include "common/copy_meter.h"
+#include "gcsapi/rest_codec.h"
 
 using namespace hyrd;
 

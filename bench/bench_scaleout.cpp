@@ -38,17 +38,26 @@
 //                  gains cache_* keys and the end-of-run drain accounts
 //                  dirty-data loss
 //
-// Sweep checks: at every point >= 1e5 tenants, RSS stays under 2 GB and
-// marginal memory under 4 KB/tenant; the congestion knee must appear (p99
-// at the largest point strictly above p99 at the smallest) per scheme.
+// Sweep checks: at every point >= 1e5 tenants, peak RSS stays under 2 GB
+// and marginal memory under 4 KB/tenant; the congestion knee must appear
+// (p99 at the largest point strictly above p99 at the smallest) per
+// scheme. Each sweep point runs in a forked child, and its memory is read
+// from outside (the child's peak RSS, via wait4), so no point inherits the
+// heap an earlier one grew.
 // Campaign checks: HyRD rides out the whole campaign with zero
 // client-visible failures, retries are actually exercised, no scheme's run
 // resurrects the destroyed provider, and — read off the timeline, not
 // end-of-run totals — HyRD's goodput is back at >= 90% of its pre-outage
 // baseline within the recovery budget after the outage lifts.
+#include <sys/mman.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -67,6 +76,91 @@ struct Point {
 };
 
 constexpr std::uint64_t kGiB = 1ull << 30;
+
+/// The report fields a sweep point prints and gates on; a forked child
+/// passes them back through shared memory.
+struct PointFields {
+  std::uint64_t ops_ok = 0;
+  std::uint64_t ops_failed = 0;
+  std::uint64_t provider_throttled = 0;
+  std::uint64_t peak_queue_depth = 0;
+  std::uint64_t events_dispatched = 0;
+  std::uint64_t meta_stats = 0;
+  std::uint64_t cache_absorbed = 0;
+  std::uint64_t cache_flush_batches = 0;
+  std::uint64_t cache_read_hits = 0;
+  std::uint64_t cache_dirty_lost_entries = 0;
+  double throughput_ops_per_vs = 0;
+  double mean_ms = 0;
+  double p50_ms = 0;
+  double p99_ms = 0;
+  double p999_ms = 0;
+  double wall_ms = 0;
+};
+
+template <typename To, typename From>
+void copy_point_fields(To& to, const From& from) {
+  to.ops_ok = from.ops_ok;
+  to.ops_failed = from.ops_failed;
+  to.provider_throttled = from.provider_throttled;
+  to.peak_queue_depth = from.peak_queue_depth;
+  to.events_dispatched = from.events_dispatched;
+  to.meta_stats = from.meta_stats;
+  to.cache_absorbed = from.cache_absorbed;
+  to.cache_flush_batches = from.cache_flush_batches;
+  to.cache_read_hits = from.cache_read_hits;
+  to.cache_dirty_lost_entries = from.cache_dirty_lost_entries;
+  to.throughput_ops_per_vs = from.throughput_ops_per_vs;
+  to.mean_ms = from.mean_ms;
+  to.p50_ms = from.p50_ms;
+  to.p99_ms = from.p99_ms;
+  to.p999_ms = from.p999_ms;
+  to.wall_ms = from.wall_ms;
+}
+
+/// Runs one sweep point in a forked child. rss_bytes is the child's peak
+/// RSS (ru_maxrss from wait4) and bytes_per_tenant that peak's growth over
+/// the child's RSS at start. Measured in-process, every point after the
+/// first would reuse the heap earlier points grew, and the memory gate
+/// would pass vacuously. Returns false when the child did not finish.
+bool run_point_isolated(const sim::ScaleoutConfig& config,
+                        sim::ScaleoutReport* out) {
+  struct Shared {
+    PointFields fields;
+    std::uint64_t rss_at_start = 0;
+  };
+  void* mem = mmap(nullptr, sizeof(Shared), PROT_READ | PROT_WRITE,
+                   MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) return false;
+  auto* shared = new (mem) Shared{};
+  std::fflush(nullptr);  // the child must not re-flush buffered output
+  const pid_t pid = fork();
+  if (pid == 0) {
+    shared->rss_at_start = sim::current_rss_bytes();
+    copy_point_fields(shared->fields, sim::run_scaleout(config));
+    _exit(0);  // no destructors, no stdio flush: the parent owns both
+  }
+  int status = 0;
+  struct rusage usage {};
+  const bool ok = pid > 0 && wait4(pid, &status, 0, &usage) == pid &&
+                  WIFEXITED(status) && WEXITSTATUS(status) == 0;
+  if (ok) {
+    out->scheme = config.scheme;
+    out->seed = config.seed;
+    out->tenants = config.tenants;
+    copy_point_fields(*out, shared->fields);
+    out->rss_bytes = static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;
+    out->rss_delta_bytes = out->rss_bytes > shared->rss_at_start
+                               ? out->rss_bytes - shared->rss_at_start
+                               : 0;
+    out->bytes_per_tenant =
+        config.tenants ? static_cast<double>(out->rss_delta_bytes) /
+                             static_cast<double>(config.tenants)
+                       : 0.0;
+  }
+  munmap(mem, sizeof(Shared));
+  return ok;
+}
 
 }  // namespace
 
@@ -298,7 +392,12 @@ int main(int argc, char** argv) {
       config.seed = seed;
       config.tenant.stat_ratio = meta_ratio;
       config.cache.enabled = cache_on;
-      Point pt{sim::run_scaleout(config)};
+      Point pt;
+      if (!run_point_isolated(config, &pt.report)) {
+        std::fprintf(stderr, "bench_scaleout: %s at %zu tenants did not finish\n",
+                     scheme.c_str(), n);
+        return 1;
+      }
       const auto& r = pt.report;
 
       const std::string k = scheme + "/" + std::to_string(n) + "/";

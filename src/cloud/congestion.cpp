@@ -75,16 +75,18 @@ FairQueue::Admission FairQueue::admit(std::uint64_t tenant, double weight,
 
   // Per-flow pacing gate: a flow past its weighted share waits on its own
   // tag even when a slot is free, so one hot tenant cannot starve the rest.
+  const std::uint64_t flow_hash = common::stable_key_hash(tenant);
   common::SimDuration gate = arrival;
-  if (auto it = flow_tag_.find(tenant); it != flow_tag_.end()) {
-    gate = std::max(gate, it->second);
+  if (const auto* tag = flow_tag_.find_h(flow_hash, tenant)) {
+    gate = std::max(gate, *tag);
   }
 
   auto slot = std::min_element(slot_free_.begin(), slot_free_.end());
   const common::SimDuration begin = std::max(gate, *slot);
   *slot = begin + service;
-  flow_tag_[tenant] = begin + static_cast<common::SimDuration>(
-                                  static_cast<double>(service) / weight);
+  flow_tag_.try_emplace_h(flow_hash, tenant) =
+      begin + static_cast<common::SimDuration>(
+                  static_cast<double>(service) / weight);
 
   const common::SimDuration wait = begin - arrival;
   ++stats_.admitted;
@@ -104,9 +106,9 @@ FairQueue::Admission FairQueue::admit(std::uint64_t tenant, double weight,
   // or behind the current arrival are inert (gate falls back to arrival).
   if (++admits_since_prune_ >= 4096) {
     admits_since_prune_ = 0;
-    for (auto it = flow_tag_.begin(); it != flow_tag_.end();) {
-      it = it->second <= arrival ? flow_tag_.erase(it) : std::next(it);
-    }
+    flow_tag_.erase_if([arrival](std::uint64_t, common::SimDuration t) {
+      return t <= arrival;
+    });
   }
   return {.admitted = true, .wait = wait};
 }

@@ -35,10 +35,10 @@
 
 #include <cstdint>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
+#include "common/robin_hood.h"
 
 namespace hyrd::cloud {
 
@@ -106,8 +106,10 @@ class FairQueue {
       waiting_;
   // Per-flow virtual finish tags. Only flows currently ahead of real
   // arrival time matter; stale tags are lazily pruned so the map tracks
-  // the set of *backlogged* tenants, not every tenant ever seen.
-  std::unordered_map<std::uint64_t, common::SimDuration> flow_tag_;
+  // the set of *backlogged* tenants, not every tenant ever seen. Open
+  // addressing: admitting a new flow allocates nothing once the table has
+  // grown to the backlog's size.
+  common::RobinHoodMap<std::uint64_t, common::SimDuration> flow_tag_;
   std::uint64_t admits_since_prune_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "cloud/memory_store.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/copy_meter.h"
@@ -126,6 +127,7 @@ common::Result<std::vector<std::string>> MemoryStore::list(
   std::vector<std::string> names;
   names.reserve(it->second.size());
   for (const auto& [name, data] : it->second) names.push_back(name);
+  std::sort(names.begin(), names.end());
   return names;
 }
 

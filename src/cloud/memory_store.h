@@ -12,15 +12,18 @@
 //    stored_bytes_ is a relaxed atomic: it counts *logical* bytes — what a
 //    provider would bill — not physical residency, which is per unique
 //    block shared by however many fragments slice it.
+//  * Containers and objects are hash-indexed (one node per object, as a
+//    tree map would cost, but no string-compare walk down a tree); list()
+//    sorts on demand, so listings stay in name order.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/buffer.h"
@@ -63,6 +66,7 @@ class MemoryStore {
                            common::ByteSpan data);
 
   common::Status remove(const std::string& container, const std::string& name);
+  /// Object names in the container, sorted.
   common::Result<std::vector<std::string>> list(
       const std::string& container) const;
 
@@ -85,7 +89,9 @@ class MemoryStore {
 
   struct Shard {
     mutable std::mutex mu;
-    std::map<std::string, std::map<std::string, common::Buffer>> containers;
+    std::unordered_map<std::string,
+                       std::unordered_map<std::string, common::Buffer>>
+        containers;
   };
 
   [[nodiscard]] const Shard& shard_for(const std::string& container) const {

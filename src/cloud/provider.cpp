@@ -104,6 +104,7 @@ OpResult SimProvider::cancelled_result() {
 
 OpResult SimProvider::create(const std::string& container) {
   if (!online()) return unavailable_result();
+  if (op_hook_) op_hook_(OpKind::kCreate, {container, ""});
   OpResult r;
   r.status = store_.create(container);
   r.latency = charge(OpKind::kCreate, 0);
@@ -181,6 +182,7 @@ ListResult SimProvider::list(const std::string& container) {
     static_cast<OpResult&>(r) = unavailable_result();
     return r;
   }
+  if (op_hook_) op_hook_(OpKind::kList, {container, ""});
   auto res = store_.list(container);
   if (res.is_ok()) {
     r.names = std::move(res).value();

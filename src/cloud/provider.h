@@ -134,8 +134,9 @@ class SimProvider final : public ObjectStore {
   /// Direct access to backing state for white-box tests and audits.
   MemoryStore& raw_store() { return store_; }
 
-  /// Test hook invoked at the start of every data-plane op (after the
-  /// availability check, before touching the store). Lets tests observe or
+  /// Test hook invoked at the start of every op (after the availability
+  /// check, before touching the store; create and list pass the container
+  /// with an empty object name). Lets tests observe or
   /// deliberately stall a specific request — e.g. to prove client code
   /// holds no locks across provider I/O. Not used in production paths.
   using OpHook = std::function<void(OpKind, const ObjectKey&)>;

@@ -24,9 +24,10 @@ std::uint32_t crc32c(ByteSpan data, std::uint32_t seed = 0);
 /// the reference the wide-word paths are property-tested against.
 std::uint32_t crc32c_reference(ByteSpan data, std::uint32_t seed = 0);
 
-/// FNV-1a 64-bit hash.
-constexpr std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+/// FNV-1a 64-bit hash. Chaining property: fnv1a(a+b) == fnv1a(b, fnv1a(a)).
+constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t fnv1a(std::string_view s,
+                              std::uint64_t h = kFnv1aOffset) {
   for (char c : s) {
     h ^= static_cast<std::uint8_t>(c);
     h *= 0x100000001b3ull;

@@ -14,6 +14,14 @@ namespace {
 
 bool default_usable(const CloudCompletion& c) { return c.ok(); }
 
+// How long await_first lets the ops still in flight resolve, in real time,
+// after `need` usable ones have. Pool threads finish in an order that has
+// nothing to do with virtual arrival, so tearing the tail down at once
+// could cancel the op that is fastest in virtual time. Only an op wedged
+// this long (the same order as HedgePolicy's default real-stall probe) is
+// cancelled.
+constexpr std::chrono::milliseconds kStragglerGrace{200};
+
 struct BatchMetrics {
   obs::Counter ops = obs::MetricsRegistry::global().counter("gcs.batch.ops");
   obs::Counter cancelled =
@@ -248,9 +256,12 @@ std::vector<CloudCompletion> AsyncBatch::await_first(std::size_t need,
   cv_.wait(lock, [&] {
     return usable_count() >= need || resolved_count_ == ops_.size();
   });
-  // Enough usable responses virtually in hand (or nothing left to wait
-  // for): the remaining in-flight tail is pure cost. Tear it down, then
-  // drain so no task outlives this call.
+  // Enough usable responses in hand: winners are picked below by virtual
+  // arrival, so give the tail the grace period to resolve, then tear down
+  // whatever is still stalled and drain so no task outlives this call.
+  // (Inline mode resolved everything at submit; this returns at once.)
+  cv_.wait_for(lock, kStragglerGrace,
+               [&] { return resolved_count_ == ops_.size(); });
   for (auto& rec : ops_) {
     if (!rec.resolved) rec.cancel.store(true, std::memory_order_release);
   }

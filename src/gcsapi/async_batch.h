@@ -13,7 +13,8 @@
 //   await_all    latency = max arrival over non-cancelled ops (legacy
 //                semantics; the `parallel_*` adapters are built on this)
 //   await_first  completes once `need` usable ops landed, cancels the
-//                stragglers, latency = need-th smallest usable arrival
+//                stragglers still unresolved after a real-time grace
+//                period, latency = need-th smallest usable arrival
 //   await_ack    write-side: every op still runs to real completion
 //                (durability + failure logging preserved); only the *ack*
 //                latency is the order statistic chosen by AckPolicy
@@ -192,9 +193,12 @@ class AsyncBatch {
   std::vector<CloudCompletion> await_all(BatchStats* stats = nullptr);
 
   /// Waits until `need` completions satisfying `usable` (default: ok())
-  /// have resolved — or everything resolved — then cancels and drains the
-  /// stragglers. Latency = need-th smallest usable arrival; falls back to
-  /// await_all's max when fewer than `need` usable ops exist.
+  /// have resolved — or everything resolved — then gives the rest a short
+  /// real-time grace period and cancels and drains whatever is still
+  /// unresolved (a wedged request). Latency = need-th smallest usable
+  /// arrival, so the winners are the virtually fastest ops, not the first
+  /// to finish on the pool; falls back to await_all's max when fewer than
+  /// `need` usable ops exist.
   std::vector<CloudCompletion> await_first(std::size_t need,
                                            BatchStats* stats = nullptr,
                                            UsableFn usable = {});

@@ -1,5 +1,6 @@
 #include "gcsapi/client.h"
 
+#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -39,18 +40,6 @@ CloudClient::CloudClient(cloud::SimProvider* provider, RetryPolicy policy)
 template <typename ResultT, typename ExecFn>
 ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
                          ExecFn&& exec) {
-  // Round-trip the envelope through the RESTful boundary: the method, path
-  // and headers we execute are what a real HTTP deployment would have
-  // decoded on the wire. The payload is attached by reference (see the
-  // declaration comment), so no body bytes pass through the codec here.
-  const RestRequest encoded = encode_op(op, key, {});
-  auto parsed = parse_request(serialize(encoded));
-  assert(parsed.is_ok() && "REST serialization must round-trip");
-  auto decoded = decode_op(parsed.value());
-  assert(decoded.is_ok() && decoded.value().op == op &&
-         decoded.value().key == key && "REST op must round-trip");
-  (void)decoded;
-
   // Retry loop. Under a VirtualScope (discrete-event traffic) every attempt
   // past the first re-installs the scope with `now` advanced by everything
   // already charged to the op — attempt latencies plus backoff — so a retry
@@ -59,8 +48,9 @@ ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
   // re-throttled forever).
   const std::optional<common::VirtualContext> base =
       common::VirtualScope::snapshot();
+  // fnv1a of "container/name", chained so no joined key is built.
   const std::uint64_t decorrelate =
-      common::fnv1a(std::string_view(key.str())) ^
+      common::fnv1a(key.name, common::fnv1a("/", common::fnv1a(key.container))) ^
       (base ? base->tenant ^ static_cast<std::uint64_t>(base->now) : 0);
 
   ResultT result;
@@ -115,13 +105,7 @@ ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
     obs::emit(std::move(span));
   }
 
-  record_trace({.provider = provider_->name(),
-                .op = op,
-                .key = key.str(),
-                .bytes = result.bytes_transferred,
-                .latency = total_latency,
-                .status = result.status.code(),
-                .attempts = attempt});
+  record_trace(op, key, result, attempt);
   return result;
 }
 
@@ -179,19 +163,48 @@ cloud::OpResult CloudClient::ensure_container(const std::string& container) {
 
 std::vector<OpTraceEntry> CloudClient::recent_ops() const {
   std::lock_guard lock(trace_mu_);
-  return {trace_.begin(), trace_.end()};
+  std::vector<OpTraceEntry> out;
+  out.reserve(trace_.size());
+  for (std::size_t i = 0; i < trace_.size(); ++i) {
+    out.push_back(trace_[(trace_head_ + i) % trace_.size()]);
+  }
+  return out;
 }
 
 void CloudClient::set_trace_capacity(std::size_t n) {
   std::lock_guard lock(trace_mu_);
+  // Unroll to oldest-first, keep the newest n.
+  std::rotate(trace_.begin(),
+              trace_.begin() + static_cast<std::ptrdiff_t>(trace_head_),
+              trace_.end());
+  if (trace_.size() > n) {
+    trace_.erase(trace_.begin(),
+                 trace_.end() - static_cast<std::ptrdiff_t>(n));
+  }
+  trace_head_ = 0;
   trace_capacity_ = n;
-  while (trace_.size() > trace_capacity_) trace_.pop_front();
 }
 
-void CloudClient::record_trace(OpTraceEntry entry) {
+void CloudClient::record_trace(cloud::OpKind op, const cloud::ObjectKey& key,
+                               const cloud::OpResult& result, int attempts) {
   std::lock_guard lock(trace_mu_);
-  trace_.push_back(std::move(entry));
-  while (trace_.size() > trace_capacity_) trace_.pop_front();
+  if (trace_capacity_ == 0) return;
+  OpTraceEntry* e;
+  if (trace_.size() < trace_capacity_) {
+    e = &trace_.emplace_back();
+  } else {
+    e = &trace_[trace_head_];  // overwrite the oldest
+    trace_head_ = (trace_head_ + 1) % trace_.size();
+  }
+  e->provider.assign(provider_->name());
+  e->op = op;
+  e->key.assign(key.container);
+  e->key += '/';
+  e->key += key.name;
+  e->bytes = result.bytes_transferred;
+  e->latency = result.latency;
+  e->status = result.status.code();
+  e->attempts = attempts;
 }
 
 }  // namespace hyrd::gcs

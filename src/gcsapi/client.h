@@ -1,19 +1,19 @@
 // CloudClient: the per-provider half of the GCS-API middleware.
 //
-// Every call is encoded to the RESTful wire format, round-tripped through
-// the codec (asserting the middleware boundary is lossless), executed
-// against the provider, and retried under a RetryPolicy. Latencies of all
-// attempts — including backoff — accumulate into the reported latency, in
-// virtual time.
+// Every call is executed against the provider and retried under a
+// RetryPolicy. Latencies of all attempts — including backoff — accumulate
+// into the reported latency, in virtual time. That the RESTful wire format
+// carries each (op, key) losslessly is pinned by rest_codec_test and, for
+// every op the six scheme clients issue, by rest_boundary_test, instead of
+// being re-checked on every call.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "cloud/provider.h"
-#include "gcsapi/rest_codec.h"
 #include "gcsapi/retry.h"
 
 namespace hyrd::gcs {
@@ -60,27 +60,28 @@ class CloudClient {
   /// Creates the container if it does not exist yet (idempotent setup).
   cloud::OpResult ensure_container(const std::string& container);
 
-  /// Most recent operations, newest last (bounded ring).
+  /// Most recent operations, oldest first (bounded ring).
   [[nodiscard]] std::vector<OpTraceEntry> recent_ops() const;
   void set_trace_capacity(std::size_t n);
 
  private:
-  /// Encodes the request *envelope* -> wire -> decode, asserting round-trip
-  /// fidelity, then executes with retries. The payload itself travels by
-  /// reference (scatter-gather style: a real client writev()s the body
-  /// after the header block, it does not splice it into the header buffer),
-  /// so this middleware hop copies zero payload bytes; full body round-trip
-  /// fidelity is covered by rest_codec_test. The returned result carries
-  /// total latency.
+  /// Executes `exec` with retries. The payload travels by reference, so
+  /// this middleware hop copies zero payload bytes. The returned result
+  /// carries total latency.
   template <typename ResultT, typename ExecFn>
   ResultT run(cloud::OpKind op, const cloud::ObjectKey& key, ExecFn&& exec);
 
-  void record_trace(OpTraceEntry entry);
+  void record_trace(cloud::OpKind op, const cloud::ObjectKey& key,
+                    const cloud::OpResult& result, int attempts);
 
   cloud::SimProvider* provider_;
   RetryPolicy policy_;
   mutable std::mutex trace_mu_;
-  std::deque<OpTraceEntry> trace_;
+  // Circular buffer: once full, each record overwrites the oldest entry
+  // in place, reusing its strings' storage, so tracing allocates nothing
+  // in steady state. trace_head_ is the oldest entry when full.
+  std::vector<OpTraceEntry> trace_;
+  std::size_t trace_head_ = 0;
   std::size_t trace_capacity_ = 256;
 };
 

@@ -5,9 +5,11 @@
 
 #include "common/rng.h"
 #include "metadata/file_meta.h"
-#include "metadata/shard_table.h"
+#include "common/robin_hood.h"
 
 namespace hyrd::meta {
+
+using common::stable_key_hash;
 
 Keyspace::Keyspace(std::size_t shard_count, std::size_t vnodes_per_shard)
     : shard_count_(shard_count == 0 ? 1 : shard_count),

@@ -10,6 +10,8 @@
 
 namespace hyrd::meta {
 
+using common::stable_key_hash;
+
 namespace {
 constexpr std::uint32_t kBlockMagic = 0x48795244;  // "HyRD"
 

@@ -27,7 +27,7 @@
 
 #include "metadata/file_meta.h"
 #include "metadata/keyspace.h"
-#include "metadata/shard_table.h"
+#include "common/robin_hood.h"
 #include "obs/metrics.h"
 
 namespace hyrd::meta {
@@ -101,11 +101,11 @@ class MetadataStore {
 
  private:
   // One directory: filename -> meta.
-  using DirTable = RobinHoodMap<FileMeta>;
+  using DirTable = common::RobinHoodMap<std::string, FileMeta>;
 
   struct Shard {
     mutable std::mutex mu;
-    RobinHoodMap<DirTable> dirs;
+    common::RobinHoodMap<std::string, DirTable> dirs;
     std::size_t files = 0;  // under mu; sum of dir sizes
     std::array<std::mutex, kWriteStripesPerShard> write_order;
     obs::Gauge files_gauge;       // meta.shard.<i>.files (registry-wide sum)

@@ -6,14 +6,34 @@
 
 namespace hyrd::sim {
 
+namespace {
+
+constexpr std::uint64_t kLow32 = 0xffffffffull;
+
+EventId make_id(std::uint32_t slot, std::uint64_t seq) {
+  return ((seq & kLow32) << 32) | (static_cast<std::uint64_t>(slot) + 1);
+}
+
+}  // namespace
+
 EventId EventQueue::schedule_at(common::SimDuration when,
                                 EventHandler* handler) {
   assert(handler != nullptr);
   if (when < now_) when = now_;
-  const EventId id = next_id_++;
-  entries_[id].handler = handler;
-  heap_.push({when, id});
-  return id;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slab_.size());
+    slab_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Entry& e = slab_[slot];
+  e.handler = handler;
+  e.seq = next_seq_++;
+  ++live_;
+  heap_.push({when, e.seq, slot});
+  return make_id(slot, e.seq);
 }
 
 EventId EventQueue::schedule_in(common::SimDuration delay,
@@ -22,36 +42,45 @@ EventId EventQueue::schedule_in(common::SimDuration delay,
 }
 
 bool EventQueue::cancel(EventId id) {
-  auto it = entries_.find(id);
-  if (it == entries_.end()) return false;
-  // Flag, don't erase: the heap item still references the entry, and the
+  const std::uint64_t slot_plus_one = id & kLow32;
+  if (slot_plus_one == 0 || slot_plus_one > slab_.size()) return false;
+  Entry& e = slab_[slot_plus_one - 1];
+  if (e.handler == nullptr || (e.seq & kLow32) != (id >> 32)) return false;
+  // Flag, don't release: the heap item still references the slot, and the
   // flag must stay readable (it may be the installed CancelScope of work
   // already associated with this event).
-  return !it->second.cancelled.exchange(true, std::memory_order_acq_rel);
+  return !e.cancelled.exchange(true, std::memory_order_acq_rel);
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  Entry& e = slab_[slot];
+  e.handler = nullptr;
+  e.cancelled.store(false, std::memory_order_relaxed);
+  free_.push_back(slot);
+  --live_;
 }
 
 bool EventQueue::step() {
   while (!heap_.empty()) {
     const HeapItem item = heap_.top();
     heap_.pop();
-    auto it = entries_.find(item.id);
-    assert(it != entries_.end() && "heap item without entry");
-    if (it->second.cancelled.load(std::memory_order_acquire)) {
-      entries_.erase(it);
+    Entry& e = slab_[item.slot];
+    assert(e.handler != nullptr && e.seq == item.seq && "heap item without entry");
+    if (e.cancelled.load(std::memory_order_acquire)) {
+      release(item.slot);
       continue;
     }
     assert(item.when >= now_ && "virtual time must be monotonic");
     now_ = item.when;
     ++dispatched_;
-    EventHandler* handler = it->second.handler;
     {
       // The event's own flag doubles as the cooperative-cancellation token
       // for everything the handler does: a provider op issued from this
       // step aborts exactly like an AsyncBatch straggler would.
-      cloud::CancelScope scope(&it->second.cancelled);
-      handler->on_event(*this, now_);
+      cloud::CancelScope scope(&e.cancelled);
+      e.handler->on_event(*this, now_);
     }
-    entries_.erase(item.id);  // `it` may be stale after handler side effects
+    release(item.slot);  // `e` stays valid: the slab never relocates
     return true;
   }
   return false;

@@ -21,13 +21,20 @@
 // cloud::CancelScope — so provider-level cooperative cancellation (the
 // same mechanism AsyncBatch stragglers use) composes with event-level
 // cancellation without new machinery.
+//
+// Storage: events live in a slab of entries recycled through a free list,
+// so a steady-state schedule/dispatch cycle allocates nothing. The slab
+// never moves an entry (a handler may schedule more events while its own
+// flag is the installed CancelScope), and an EventId names its slot plus
+// the event's sequence number, so cancel() is O(1) and rejects an id whose
+// slot has since been reused.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -45,7 +52,9 @@ class EventHandler {
   virtual void on_event(EventQueue& queue, common::SimDuration now) = 0;
 };
 
-/// Identifies one scheduled (not yet dispatched) event. Never reused.
+/// Identifies one scheduled (not yet dispatched) event: its slab slot + 1
+/// in the low 32 bits, the low 32 bits of its sequence number above. Stale
+/// ids (dispatched, cancelled and reaped, or never issued) are rejected.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
@@ -54,7 +63,10 @@ class EventQueue {
   /// Current virtual time: the timestamp of the latest dispatched event.
   [[nodiscard]] common::SimDuration now() const { return now_; }
 
-  [[nodiscard]] std::size_t pending() const { return entries_.size(); }
+  /// Scheduled events not yet reaped: cancelled events count until the
+  /// dispatcher skips them, and a running handler's event counts until
+  /// its handler returns.
+  [[nodiscard]] std::size_t pending() const { return live_; }
   [[nodiscard]] std::uint64_t dispatched() const { return dispatched_; }
 
   /// Schedules `handler` at virtual time `when`. Times in the past are
@@ -81,23 +93,29 @@ class EventQueue {
  private:
   struct HeapItem {
     common::SimDuration when;
-    EventId id;  // monotone: smaller id == scheduled earlier
+    std::uint64_t seq;  // monotone: smaller seq == scheduled earlier
+    std::uint32_t slot;
     friend bool operator>(const HeapItem& a, const HeapItem& b) {
       if (a.when != b.when) return a.when > b.when;
-      return a.id > b.id;
+      return a.seq > b.seq;
     }
   };
   struct Entry {
-    EventHandler* handler;
+    EventHandler* handler = nullptr;  // null = free slot
+    std::uint64_t seq = 0;
     std::atomic<bool> cancelled{false};
   };
 
+  void release(std::uint32_t slot);
+
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  // Node-based so &entry.cancelled stays valid across rehash while a
-  // handler scheduled from inside on_event() grows the map.
-  std::unordered_map<EventId, Entry> entries_;
+  // A deque never relocates its elements, so &entry.cancelled stays valid
+  // while a handler scheduled from inside on_event() grows the slab.
+  std::deque<Entry> slab_;
+  std::vector<std::uint32_t> free_;  // reusable slots, most recent last
+  std::size_t live_ = 0;
   common::SimDuration now_ = 0;
-  EventId next_id_ = 1;  // 0 is kInvalidEvent
+  std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
 };
 

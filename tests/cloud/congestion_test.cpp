@@ -3,10 +3,16 @@
 // integration (only VirtualScope traffic is subject to it).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <queue>
+#include <unordered_map>
+#include <vector>
+
 #include "cloud/congestion.h"
 #include "cloud/profiles.h"
 #include "cloud/provider.h"
 #include "common/clock.h"
+#include "common/rng.h"
 #include "common/status.h"
 #include "common/virtual_time.h"
 
@@ -174,6 +180,160 @@ TEST(FairQueue, DepthCapBoundaryAdmitsExactlyMaxQueueDepthWaiters) {
   EXPECT_FALSE(q.admit(999, 1.0, 0, 0).admitted);
   EXPECT_EQ(q.stats().throttled, 1u);
   EXPECT_EQ(q.stats().peak_depth, kDepth);  // never exceeded the cap
+}
+
+
+/// The node-based FairQueue this module shipped with before its flow tags
+/// moved to an open-addressed table, kept as the differential reference:
+/// the admission math, depth cap and 4096-admit stale-tag sweep are copied
+/// verbatim (only the obs counters and trace spans are left out; they
+/// observe, they do not decide).
+class ReferenceFairQueue {
+ public:
+  explicit ReferenceFairQueue(CongestionParams params) : params_(params) {
+    if (params_.channels == 0) params_.channels = 1;
+    slot_free_.assign(params_.channels, 0);
+  }
+
+  common::SimDuration service_time(std::uint64_t bytes) const {
+    double ms = params_.per_op_service_ms;
+    if (bytes > 0 && params_.service_mbps > 0) {
+      ms += static_cast<double>(bytes) / (params_.service_mbps * 1e6) * 1e3;
+    }
+    return common::from_ms(ms);
+  }
+
+  std::size_t depth_at(common::SimDuration now) {
+    prune(now);
+    return waiting_.size();
+  }
+
+  FairQueue::Admission admit(std::uint64_t tenant, double weight,
+                             common::SimDuration arrival,
+                             std::uint64_t bytes) {
+    prune(arrival);
+    if (waiting_.size() >= params_.max_queue_depth) {
+      ++stats_.throttled;
+      return {.admitted = false, .wait = 0};
+    }
+
+    const common::SimDuration service = service_time(bytes);
+    if (weight <= 0.0) weight = 1.0;
+
+    common::SimDuration gate = arrival;
+    if (auto it = flow_tag_.find(tenant); it != flow_tag_.end()) {
+      gate = std::max(gate, it->second);
+    }
+
+    auto slot = std::min_element(slot_free_.begin(), slot_free_.end());
+    const common::SimDuration begin = std::max(gate, *slot);
+    *slot = begin + service;
+    flow_tag_[tenant] = begin + static_cast<common::SimDuration>(
+                                    static_cast<double>(service) / weight);
+
+    const common::SimDuration wait = begin - arrival;
+    ++stats_.admitted;
+    if (wait > 0) {
+      ++stats_.queued;
+      waiting_.push(begin);
+      stats_.peak_depth = std::max(stats_.peak_depth, waiting_.size());
+      stats_.total_wait += wait;
+      stats_.max_wait = std::max(stats_.max_wait, wait);
+    }
+
+    if (++admits_since_prune_ >= 4096) {
+      admits_since_prune_ = 0;
+      for (auto it = flow_tag_.begin(); it != flow_tag_.end();) {
+        it = it->second <= arrival ? flow_tag_.erase(it) : std::next(it);
+      }
+    }
+    return {.admitted = true, .wait = wait};
+  }
+
+  const CongestionStats& stats() const { return stats_; }
+  std::size_t flows() const { return flow_tag_.size(); }
+
+ private:
+  void prune(common::SimDuration arrival) {
+    while (!waiting_.empty() && waiting_.top() <= arrival) waiting_.pop();
+  }
+
+  CongestionParams params_;
+  CongestionStats stats_;
+  std::vector<common::SimDuration> slot_free_;
+  std::priority_queue<common::SimDuration, std::vector<common::SimDuration>,
+                      std::greater<>>
+      waiting_;
+  std::unordered_map<std::uint64_t, common::SimDuration> flow_tag_;
+  std::uint64_t admits_since_prune_ = 0;
+};
+
+void expect_same_stats(const CongestionStats& a, const CongestionStats& b,
+                       std::size_t step) {
+  EXPECT_EQ(a.admitted, b.admitted) << "step " << step;
+  EXPECT_EQ(a.queued, b.queued) << "step " << step;
+  EXPECT_EQ(a.throttled, b.throttled) << "step " << step;
+  EXPECT_EQ(a.total_wait, b.total_wait) << "step " << step;
+  EXPECT_EQ(a.max_wait, b.max_wait) << "step " << step;
+  EXPECT_EQ(a.peak_depth, b.peak_depth) << "step " << step;
+}
+
+TEST(FairQueue, MatchesNodeMapReferenceOverSeededStream) {
+  // A seeded arrival stream that exercises every branch of admit(): a few
+  // hot tenants that stay backlogged (re-admitted flows), a long tail of
+  // light ones whose tags go stale and are swept, late arrivals (failover
+  // legs land before the latest arrival), zero and fractional weights, and
+  // a depth cap the bursts run into. Far more than 4096 admits, so the
+  // stale-tag sweep runs many times.
+  const CongestionParams params{.channels = 4,
+                                .per_op_service_ms = 2.0,
+                                .service_mbps = 200.0,
+                                .max_queue_depth = 48};
+  FairQueue q(params);
+  ReferenceFairQueue ref(params);
+  common::Xoshiro256 rng(2015);
+  common::SimDuration clock = 0;
+  constexpr std::size_t kSteps = 40'000;
+  for (std::size_t step = 0; step < kSteps; ++step) {
+    // Bursty arrivals: mostly sub-service-time gaps, sometimes a lull long
+    // enough for the queue to drain and the light flows' tags to expire.
+    clock += rng.chance(0.02)
+                 ? static_cast<common::SimDuration>(rng.uniform_int(
+                       20 * common::kMillisecond, 200 * common::kMillisecond))
+                 : static_cast<common::SimDuration>(
+                       rng.uniform_int(0, 600 * common::kMicrosecond));
+    common::SimDuration arrival = clock;
+    if (rng.chance(0.1)) {
+      const auto back = static_cast<common::SimDuration>(
+          rng.uniform_int(0, 30 * common::kMillisecond));
+      arrival = std::max<common::SimDuration>(0, clock - back);
+    }
+    const std::uint64_t tenant = rng.chance(0.4)
+                                     ? rng.uniform_int(0, 7)        // hot
+                                     : rng.uniform_int(8, 5'000);   // light
+    const double weights[] = {1.0, 1.0, 2.0, 0.5, 0.0, 4.0};
+    const double weight = weights[rng.uniform_int(0, 5)];
+    const std::uint64_t bytes =
+        rng.chance(0.3) ? 0 : rng.uniform_int(1, 256 * 1024);
+
+    const auto got = q.admit(tenant, weight, arrival, bytes);
+    const auto want = ref.admit(tenant, weight, arrival, bytes);
+    ASSERT_EQ(got.admitted, want.admitted) << "step " << step;
+    ASSERT_EQ(got.wait, want.wait) << "step " << step;
+    if (step % 61 == 0) {
+      const common::SimDuration probe =
+          clock + static_cast<common::SimDuration>(
+                      rng.uniform_int(0, 5 * common::kMillisecond));
+      ASSERT_EQ(q.depth_at(probe), ref.depth_at(probe)) << "step " << step;
+    }
+    if (step % 1000 == 0) expect_same_stats(q.stats(), ref.stats(), step);
+  }
+  expect_same_stats(q.stats(), ref.stats(), kSteps);
+  // The stream really covered what it claims to.
+  EXPECT_GT(ref.stats().admitted, 3u * 4096u);
+  EXPECT_GT(ref.stats().throttled, 0u);
+  EXPECT_GT(ref.stats().queued, 0u);
+  EXPECT_LT(ref.flows(), 5'000u);  // the sweep dropped stale tags
 }
 
 }  // namespace

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "common/rng.h"
 
 namespace hyrd::cloud {
 namespace {
@@ -106,6 +111,57 @@ TEST(MemoryStore, ConcurrentPutsAreConsistent) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(store.object_count(), 800u);
   EXPECT_EQ(store.stored_bytes(), 8000u);
+}
+
+
+TEST(MemoryStore, AccountingAndListOrderHoldUnderChurn) {
+  // Seeded put / overwrite / remove churn over several containers against
+  // an ordered-map oracle: byte and object accounting, name-sorted
+  // listings and wipe must agree with it at every checkpoint.
+  MemoryStore store;
+  const std::vector<std::string> containers = {"alpha", "beta", "gamma"};
+  std::map<std::string, std::map<std::string, std::size_t>> oracle;
+  for (const auto& c : containers) {
+    ASSERT_TRUE(store.create(c).is_ok());
+    oracle[c];
+  }
+  common::Xoshiro256 rng(77);
+  const auto check = [&](std::size_t step) {
+    std::uint64_t bytes = 0;
+    std::uint64_t objects = 0;
+    for (const auto& [c, objs] : oracle) {
+      std::vector<std::string> want;
+      for (const auto& [name, size] : objs) {
+        want.push_back(name);
+        bytes += size;
+      }
+      objects += objs.size();
+      auto got = store.list(c);
+      ASSERT_TRUE(got.is_ok());
+      EXPECT_EQ(got.value(), want) << c << " at step " << step;
+    }
+    EXPECT_EQ(store.stored_bytes(), bytes) << "step " << step;
+    EXPECT_EQ(store.object_count(), objects) << "step " << step;
+  };
+  for (std::size_t step = 0; step < 6'000; ++step) {
+    const std::string& c = containers[rng.uniform_int(0, containers.size() - 1)];
+    const std::string name = "obj-" + std::to_string(rng.uniform_int(0, 400));
+    auto& objs = oracle[c];
+    if (rng.chance(0.6)) {
+      const std::size_t size = rng.uniform_int(0, 2048);
+      ASSERT_TRUE(store.put(c, name, common::Bytes(size, 1)).is_ok());
+      objs[name] = size;
+    } else {
+      const bool present = objs.erase(name) > 0;
+      EXPECT_EQ(store.remove(c, name).is_ok(), present) << "step " << step;
+    }
+    if (step % 500 == 0) check(step);
+  }
+  check(6'000);
+  store.wipe();
+  EXPECT_EQ(store.stored_bytes(), 0u);
+  EXPECT_EQ(store.object_count(), 0u);
+  for (const auto& c : containers) EXPECT_FALSE(store.list(c).is_ok());
 }
 
 }  // namespace

@@ -57,6 +57,38 @@ TEST_F(ClientSessionTest, TraceCapacityBounded) {
   EXPECT_EQ(client.recent_ops().size(), 5u);
 }
 
+TEST_F(ClientSessionTest, TraceRingKeepsNewestInOrderAcrossResizes) {
+  // The ring overwrites in place once full; recent_ops() must still read
+  // oldest-first, and resizing must keep the newest entries in order.
+  CloudClient client(registry_.find("Aliyun"));
+  client.create("c");
+  client.set_trace_capacity(4);
+  const auto put = [&](int i) {
+    client.put({"c", "k" + std::to_string(i)}, common::bytes_of("xy"));
+  };
+  const auto keys = [&] {
+    std::vector<std::string> out;
+    for (const auto& e : client.recent_ops()) out.push_back(e.key);
+    return out;
+  };
+  for (int i = 0; i < 11; ++i) put(i);  // wraps the ring twice and a bit
+  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k7", "c/k8", "c/k9", "c/k10"}));
+  EXPECT_EQ(client.recent_ops().back().bytes, 2u);
+  EXPECT_EQ(client.recent_ops().back().provider, "Aliyun");
+
+  client.set_trace_capacity(2);  // shrink: keep the newest two
+  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k9", "c/k10"}));
+  client.set_trace_capacity(3);  // grow: nothing lost, room for one more
+  put(11);
+  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k9", "c/k10", "c/k11"}));
+  put(12);
+  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k10", "c/k11", "c/k12"}));
+
+  client.set_trace_capacity(0);  // tracing off
+  put(13);
+  EXPECT_TRUE(client.recent_ops().empty());
+}
+
 TEST_F(ClientSessionTest, UnavailableNotRetriedByDefault) {
   registry_.find("Aliyun")->set_online(false);
   CloudClient client(registry_.find("Aliyun"));

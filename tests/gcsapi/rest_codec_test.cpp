@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+namespace hyrd::cloud {
+
+// Print parameters by value: gtest's fallback dumps raw bytes, which embed
+// heap addresses and so change the parameterized test names on every run.
+void PrintTo(OpKind op, std::ostream* os) { *os << op_kind_name(op); }
+void PrintTo(const ObjectKey& key, std::ostream* os) { *os << key.str(); }
+
+}  // namespace hyrd::cloud
+
 namespace hyrd::gcs {
 namespace {
 

@@ -26,6 +26,10 @@ struct SchemeParam {
   bool survives_single_outage;
 };
 
+// Keeps the printed parameter (and so the test name) free of the raw-byte
+// dump gtest falls back to, which embeds addresses that change per run.
+void PrintTo(const SchemeParam& param, std::ostream* os) { *os << param.name; }
+
 class DifferentialTest : public ::testing::TestWithParam<SchemeParam> {};
 
 void run_differential(core::StorageClient& client,

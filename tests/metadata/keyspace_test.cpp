@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "metadata/shard_table.h"
+#include "common/robin_hood.h"
 
 namespace hyrd::meta {
 namespace {
@@ -125,11 +125,11 @@ TEST(MetadataShardKeyspace, PathRoutesViaItsDirectory) {
 
 TEST(MetadataShardKeyspace, StableKeyHashNeverReturnsZero) {
   // 0 is the shard table's empty sentinel; the hash must avoid it.
-  EXPECT_NE(stable_key_hash(""), 0u);
-  EXPECT_NE(stable_key_hash("/"), 0u);
+  EXPECT_NE(common::stable_key_hash(""), 0u);
+  EXPECT_NE(common::stable_key_hash("/"), 0u);
   common::Xoshiro256 rng(3);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_NE(stable_key_hash("k" + std::to_string(rng())), 0u);
+    EXPECT_NE(common::stable_key_hash("k" + std::to_string(rng())), 0u);
   }
 }
 

@@ -158,5 +158,97 @@ TEST(EventQueue, HandlerRunsUnderItsEventCancelScope) {
   EXPECT_FALSE(cloud::CancelScope::cancelled());  // scope popped after run
 }
 
+
+TEST(EventQueue, StaleIdOfReusedSlotIsRejected) {
+  // Dispatched and cancelled events hand their slab slot back; an id that
+  // named the slot's previous event must not reach the new one.
+  std::vector<int> trace;
+  Recorder a(1, trace), b(2, trace), c(3, trace);
+  EventQueue q;
+  const EventId first = q.schedule_at(10, &a);
+  q.run();
+  const EventId second = q.schedule_at(20, &b);
+  ASSERT_EQ(first & 0xffffffffu, second & 0xffffffffu);  // same slot reused
+  EXPECT_NE(first, second);
+  EXPECT_FALSE(q.cancel(first));  // stale: must not cancel b
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_EQ(trace, (std::vector<int>{1, 2}));
+
+  // Cancelled and reaped, then the slot reused: the cancelled id is dead.
+  const EventId cancelled = q.schedule_at(30, &a);
+  EXPECT_TRUE(q.cancel(cancelled));
+  EXPECT_EQ(q.run(), 0u);  // reaps the cancelled event
+  const EventId reused = q.schedule_at(40, &c);
+  ASSERT_EQ(cancelled & 0xffffffffu, reused & 0xffffffffu);
+  EXPECT_FALSE(q.cancel(cancelled));
+  EXPECT_EQ(q.run(), 1u);
+  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, CancelScopeStaysValidWhileHandlerSchedulesMany) {
+  // The running event's flag is the thread's CancelScope. A handler that
+  // grows the slab by 10^4 entries must still be reading *its* flag: a
+  // self-cancel after the burst is visible through the installed scope
+  // (under ASan a relocated slab would be a use-after-free here).
+  struct Burst final : EventHandler {
+    EventId self = kInvalidEvent;
+    bool clean_before = false;
+    bool cancelled_after = false;
+    int children = 0;
+    void on_event(EventQueue& q, common::SimDuration now) override {
+      if (self == kInvalidEvent) {  // a child: just count it
+        ++children;
+        return;
+      }
+      clean_before = !cloud::CancelScope::cancelled();
+      const EventId me = self;
+      self = kInvalidEvent;
+      for (int i = 0; i < 10'000; ++i) q.schedule_at(now + 1 + i % 7, this);
+      EXPECT_TRUE(q.cancel(me));
+      cancelled_after = cloud::CancelScope::cancelled();
+    }
+  } burst;
+  EventQueue q;
+  burst.self = q.schedule_at(5, &burst);
+  EXPECT_EQ(q.run(), 10'001u);
+  EXPECT_TRUE(burst.clean_before);
+  EXPECT_TRUE(burst.cancelled_after);
+  EXPECT_EQ(burst.children, 10'000);
+  EXPECT_FALSE(cloud::CancelScope::cancelled());
+}
+
+TEST(EventQueue, PendingCountsAcrossCancels) {
+  // pending() counts scheduled events not yet reaped: a cancelled event
+  // counts until the dispatcher skips it, a running one until it returns.
+  struct Probe final : EventHandler {
+    std::vector<std::size_t> seen;
+    void on_event(EventQueue& q, common::SimDuration) override {
+      seen.push_back(q.pending());
+    }
+  } probe;
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(q.schedule_at(10 * (i + 1), &probe));
+  EXPECT_EQ(q.pending(), 6u);
+  EXPECT_TRUE(q.cancel(ids[0]));
+  EXPECT_TRUE(q.cancel(ids[3]));
+  EXPECT_FALSE(q.cancel(ids[3]));
+  EXPECT_EQ(q.pending(), 6u);  // flagged, not yet reaped
+  ASSERT_TRUE(q.step());       // reaps ids[0], runs ids[1]
+  EXPECT_EQ(q.pending(), 4u);
+  ASSERT_TRUE(q.step());       // runs ids[2]
+  EXPECT_EQ(q.pending(), 3u);
+  ASSERT_TRUE(q.step());       // reaps ids[3], runs ids[4]
+  EXPECT_EQ(q.pending(), 1u);
+  // Each running handler saw itself counted.
+  EXPECT_EQ(probe.seen, (std::vector<std::size_t>{5, 4, 2}));
+  // Refill the freed slots, cancel everything, drain.
+  for (int i = 0; i < 4; ++i) ids.push_back(q.schedule_at(100 + i, &probe));
+  EXPECT_EQ(q.pending(), 5u);
+  for (std::size_t i = 5; i < ids.size(); ++i) EXPECT_TRUE(q.cancel(ids[i]));
+  EXPECT_EQ(q.run(), 0u);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
 }  // namespace
 }  // namespace hyrd::sim
