@@ -12,9 +12,6 @@
 #pragma once
 
 #include "core/storage_client.h"
-#include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
-#include "dist/replication.h"
 
 namespace hyrd::core {
 
@@ -27,25 +24,18 @@ class DepSkyClient final : public StorageClientBase {
   [[nodiscard]] std::string name() const override { return "DepSky"; }
   [[nodiscard]] std::size_t quorum() const { return quorum_; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
+ protected:
+  /// Quorum write of a full replica to every cloud.
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>& unreachable) override;
+  /// Quorum block write; a whole-object overwrite is a write_object.
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>& unreachable) override;
 
  private:
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  std::string container_;
   std::size_t quorum_;
-  dist::ReplicationScheme replication_;  // read path + RecoveryManager
-  dist::ErasureScheme erasure_;          // RecoveryManager wiring only
-  dist::RecoveryManager recovery_;
-  std::vector<std::size_t> all_targets_;
 };
 
 }  // namespace hyrd::core

@@ -1,148 +1,25 @@
 #include "core/duracloud_client.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace hyrd::core {
 
 DuraCloudClient::DuraCloudClient(gcs::MultiCloudSession& session,
                                  std::vector<std::string> providers,
                                  std::string data_container)
-    : StorageClientBase(session),
-      container_(std::move(data_container)),
-      // DuraCloud keeps copies synchronized: a write completes only after
-      // every copy is confirmed in turn (sequential), which is why the
-      // paper sees its latency *improve* when one provider is down.
-      replication_(container_, dist::ReplicaWriteMode::kSequential),
-      erasure_(container_, {.k = 3, .m = 1}),
-      recovery_(session, store_, log_, replication_, erasure_) {
+    // DuraCloud keeps copies synchronized: a write completes only after
+    // every copy is confirmed in turn (sequential), which is why the
+    // paper sees its latency *improve* when one provider is down.
+    : StorageClientBase(session, data_container,
+                        dist::ReplicationScheme(
+                            data_container,
+                            dist::ReplicaWriteMode::kSequential)) {
   for (const auto& name : providers) {
     const std::size_t idx = session_.index_of(name);
     assert(idx != static_cast<std::size_t>(-1) && "unknown provider");
     targets_.push_back(idx);
   }
   (void)session_.ensure_container_everywhere(container_);
-}
-
-dist::WriteResult DuraCloudClient::write_object(const std::string& path,
-                                                common::Buffer data) {
-  std::vector<std::string> unreachable;
-  dist::WriteResult result =
-      replication_.write(session_, path, std::move(data), targets_,
-                         &unreachable);
-  if (!result.status.is_ok()) return result;
-  store_.upsert_versioned(result.meta);
-  for (const auto& provider : unreachable) {
-    for (const auto& loc : result.meta.locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kPut);
-      }
-    }
-  }
-  return result;
-}
-
-common::SimDuration DuraCloudClient::persist_metadata(const std::string& dir) {
-  auto r = write_object(meta_block_path(dir),
-                        common::Buffer::from(store_.serialize_directory(dir)));
-  return r.latency;
-}
-
-dist::WriteResult DuraCloudClient::do_put(const std::string& path,
-                                          common::Buffer data) {
-  dist::WriteResult result = write_object(path, std::move(data));
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
-  return result;
-}
-
-dist::ReadResult DuraCloudClient::do_get(const std::string& path) {
-  dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
-  result = replication_.read(session_, *m);
-  note_get(result.latency, result.status.is_ok(), result.degraded);
-  return result;
-}
-
-dist::WriteResult DuraCloudClient::do_update(const std::string& path,
-                                          std::uint64_t offset,
-                                          common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  if (!common::range_within(offset, data.size(), m->size)) {
-    result.status = common::invalid_argument("update must not grow the file");
-    note_update(0, false);
-    return result;
-  }
-
-  if (offset == 0 && data.size() == m->size) {
-    result = write_object(path, common::Buffer::borrow(data));
-  } else {
-    std::vector<std::string> unreachable;
-    result = replication_.update_range(session_, *m, offset, data,
-                                       &unreachable);
-    if (result.status.is_ok()) {
-      store_.upsert_versioned(result.meta);
-      for (const auto& provider : unreachable) {
-        for (const auto& loc : result.meta.locations) {
-          if (loc.provider == provider) {
-            log_.append(provider, container_, path, loc.object_name,
-                        meta::LogAction::kPut);
-          }
-        }
-      }
-    }
-  }
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(m->directory());
-  note_update(result.latency, true);
-  return result;
-}
-
-dist::RemoveResult DuraCloudClient::do_remove(const std::string& path) {
-  dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
-  result = replication_.remove(session_, *m);
-  for (const auto& provider : result.unreachable_providers) {
-    for (const auto& loc : m->locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kRemove);
-      }
-    }
-  }
-  store_.erase(path);
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, result.status.is_ok());
-  return result;
-}
-
-common::SimDuration DuraCloudClient::on_provider_restored(
-    const std::string& provider) {
-  return recovery_.resync(provider).latency;
 }
 
 }  // namespace hyrd::core

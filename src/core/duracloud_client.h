@@ -6,9 +6,6 @@
 #pragma once
 
 #include "core/storage_client.h"
-#include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
-#include "dist/replication.h"
 
 namespace hyrd::core {
 
@@ -23,33 +20,12 @@ class DuraCloudClient final : public StorageClientBase {
 
   [[nodiscard]] std::string name() const override { return "DuraCloud"; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
-
   [[nodiscard]] const std::vector<std::size_t>& replica_targets() const {
     return targets_;
   }
 
-  /// Engine knobs (see gcsapi/async_batch.h); defaults match the legacy
-  /// synchronous semantics.
-  void set_hedge(dist::HedgePolicy p) { replication_.set_hedge(p); }
-  void set_write_ack(gcs::AckPolicy ack) { replication_.set_write_ack(ack); }
-
- private:
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  std::string container_;
-  dist::ReplicationScheme replication_;
-  dist::ErasureScheme erasure_;  // unused; RecoveryManager wiring only
-  dist::RecoveryManager recovery_;
-  std::vector<std::size_t> targets_;
+  /// Hedged replica reads (see dist/replication.h).
+  void set_hedge(dist::HedgePolicy p) { replication_->set_hedge(p); }
 };
 
 }  // namespace hyrd::core

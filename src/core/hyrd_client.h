@@ -20,9 +20,6 @@
 #include "core/evaluator.h"
 #include "core/storage_client.h"
 #include "core/workload_monitor.h"
-#include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
-#include "dist/replication.h"
 
 namespace hyrd::core {
 
@@ -34,14 +31,6 @@ class HyRDClient final : public StorageClientBase {
   HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config = {});
 
   [[nodiscard]] std::string name() const override { return "HyRD"; }
-
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
 
   // --- Introspection (tests, benches, examples) ---
   [[nodiscard]] const HyRDConfig& config() const { return config_; }
@@ -61,6 +50,25 @@ class HyRDClient final : public StorageClientBase {
   common::Status rebuild_metadata_from_cloud();
 
  protected:
+  /// The Request Dispatcher: classify by size, then replicate (small) or
+  /// stripe (large), deduplicating when enabled. A file that changed
+  /// class has its old fragments removed; any hot copy is dropped.
+  dist::WriteResult write_object(
+      const std::string& path, common::Buffer data,
+      std::vector<std::string>& unreachable) override;
+  /// Replicas from the fastest online copy; stripes from a hot copy when
+  /// that beats the stripe, promoting frequently read large files.
+  dist::ReadResult read_object(const meta::FileMeta& m) override;
+  /// Replicas take block writes (no reads); stripes read-modify-write;
+  /// under dedup the whole file is rewritten copy-on-write.
+  dist::WriteResult update_object(
+      const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+      std::vector<std::string>& unreachable) override;
+  /// Under dedup, fragments go only with the last path referencing them.
+  dist::RemoveResult remove_object(const meta::FileMeta& m) override;
+  /// Replicates the directory block to the replica targets.
+  common::SimDuration persist_metadata(const std::string& dir) override;
+
   /// Absorption stays aligned with classification: only writes the
   /// dispatcher would replicate are write-back candidates.
   [[nodiscard]] std::uint64_t write_back_threshold() const override {
@@ -84,38 +92,24 @@ class HyRDClient final : public StorageClientBase {
   void wire_adaptive(cache::ClientCache& cache) override;
 
  private:
-  /// Serializes and replicates `dir`'s metadata block; logs unreachable
-  /// replicas. Returns the (parallel) write latency.
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  /// Appends kPut log records for fragments of `m` on providers in
-  /// `unreachable`.
-  void log_unreachable_fragments(const std::vector<std::string>& unreachable,
-                                 const std::string& container,
-                                 const meta::FileMeta& m);
-
   void drop_hot_copy(const std::string& path, bool remove_remote);
 
-  /// Dedup-aware put: aliases duplicate content, writes unique content
-  /// under content-addressed fragment names.
-  dist::WriteResult put_dedup(const std::string& path,
-                              const common::Buffer& data,
-                              DataClass cls);
+  /// Writes `data` under `path`'s object names with `cls`'s scheme.
+  dist::WriteResult write_class(const std::string& path,
+                                common::Buffer data, DataClass cls,
+                                std::vector<std::string>& unreachable);
 
-  /// Releases `path`'s previous incarnation: unlinks it from the dedup
-  /// index and deletes its fragments iff nothing else references them.
-  /// Returns the virtual time spent.
-  common::SimDuration release_previous(const std::string& path,
-                                       const meta::FileMeta& prev);
+  /// Dedup-aware write: aliases duplicate content, writes unique content
+  /// under content-addressed fragment names, then releases the previous
+  /// incarnation.
+  dist::WriteResult put_dedup(const std::string& path,
+                              const common::Buffer& data, DataClass cls,
+                              std::vector<std::string>& unreachable);
 
   HyRDConfig config_;
   DedupIndex dedup_;
   WorkloadMonitor monitor_;
   EvaluationReport eval_;
-  dist::ReplicationScheme data_replication_;
-  dist::ReplicationScheme meta_replication_;
-  dist::ErasureScheme erasure_;
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> replica_targets_;  // perf-ordered, size = level
   std::vector<std::size_t> shard_slots_;      // cost-ordered, size = k+m
 

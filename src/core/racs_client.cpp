@@ -1,7 +1,5 @@
 #include "core/racs_client.h"
 
-#include <cstring>
-
 #include "common/checksum.h"
 
 namespace hyrd::core {
@@ -9,149 +7,30 @@ namespace hyrd::core {
 RACSClient::RACSClient(gcs::MultiCloudSession& session,
                        erasure::StripeGeometry geometry,
                        std::string data_container)
-    : StorageClientBase(session),
-      container_(std::move(data_container)),
-      // RACS has no evaluator tracking provider availability; degraded
-      // reads discover the outage per request (two-round reconstruction).
-      erasure_(container_, geometry, /*outage_aware=*/false),
-      replication_(container_),
-      recovery_(session, store_, log_, replication_, erasure_) {
+    // RACS has no evaluator tracking provider availability; degraded
+    // reads discover the outage per request (two-round reconstruction).
+    : StorageClientBase(session, data_container, std::nullopt,
+                        dist::ErasureScheme(data_container, geometry,
+                                            /*outage_aware=*/false)) {
   (void)session_.ensure_container_everywhere(container_);
 }
 
-std::vector<std::size_t> RACSClient::slots_for(const std::string& path) const {
-  const std::size_t n = session_.client_count();
-  const std::size_t start =
-      static_cast<std::size_t>(common::fnv1a(std::string_view(path))) % n;
-  std::vector<std::size_t> out;
-  out.reserve(erasure_.geometry().total());
-  for (std::size_t i = 0; i < erasure_.geometry().total(); ++i) {
-    out.push_back((start + i) % n);
-  }
-  return out;
-}
-
-dist::WriteResult RACSClient::write_object(const std::string& path,
-                                           common::Buffer data) {
-  const auto prev = store_.lookup(path);
-  std::vector<std::string> unreachable;
-  // Reuse the previous placement on overwrite so fragments stay put.
+std::vector<std::size_t> RACSClient::placement(const std::string& path) const {
   std::vector<std::size_t> slots;
-  if (prev.has_value()) {
+  if (const auto prev = store_.lookup(path)) {
     for (const auto& loc : prev->locations) {
       slots.push_back(session_.index_of(loc.provider));
     }
-  } else {
-    slots = slots_for(path);
+    return slots;
   }
-
-  dist::WriteResult result =
-      erasure_.write(session_, path, std::move(data), slots, &unreachable);
-  if (!result.status.is_ok()) return result;
-
-  store_.upsert_versioned(result.meta);
-  for (const auto& provider : unreachable) {
-    for (const auto& loc : result.meta.locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kPut);
-      }
-    }
+  const std::size_t n = session_.client_count();
+  const std::size_t start =
+      static_cast<std::size_t>(common::fnv1a(std::string_view(path))) % n;
+  slots.reserve(geometry().total());
+  for (std::size_t i = 0; i < geometry().total(); ++i) {
+    slots.push_back((start + i) % n);
   }
-  return result;
-}
-
-common::SimDuration RACSClient::persist_metadata(const std::string& dir) {
-  // RACS has no small-file special case: the directory block is striped
-  // like any other object, through the synthetic-file path so recovery
-  // can rebuild its fragments.
-  auto r = write_object(meta_block_path(dir),
-                        common::Buffer::from(store_.serialize_directory(dir)));
-  return r.latency;
-}
-
-dist::WriteResult RACSClient::do_put(const std::string& path,
-                                     common::Buffer data) {
-  dist::WriteResult result = write_object(path, std::move(data));
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
-  return result;
-}
-
-dist::ReadResult RACSClient::do_get(const std::string& path) {
-  dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
-  result = erasure_.read(session_, *m);
-  note_get(result.latency, result.status.is_ok(), result.degraded);
-  return result;
-}
-
-dist::WriteResult RACSClient::do_update(const std::string& path,
-                                     std::uint64_t offset,
-                                     common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  std::vector<std::string> unreachable;
-  result = erasure_.update_range(session_, *m, offset, data, nullptr,
-                                 &unreachable);
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  store_.upsert_versioned(result.meta);
-  for (const auto& provider : unreachable) {
-    for (const auto& loc : result.meta.locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kPut);
-      }
-    }
-  }
-  result.latency += persist_metadata(m->directory());
-  note_update(result.latency, true);
-  return result;
-}
-
-dist::RemoveResult RACSClient::do_remove(const std::string& path) {
-  dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
-  result = erasure_.remove(session_, *m);
-  for (const auto& provider : result.unreachable_providers) {
-    for (const auto& loc : m->locations) {
-      if (loc.provider == provider) {
-        log_.append(provider, container_, path, loc.object_name,
-                    meta::LogAction::kRemove);
-      }
-    }
-  }
-  store_.erase(path);
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, result.status.is_ok());
-  return result;
-}
-
-common::SimDuration RACSClient::on_provider_restored(
-    const std::string& provider) {
-  return recovery_.resync(provider).latency;
+  return slots;
 }
 
 }  // namespace hyrd::core

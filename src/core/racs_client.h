@@ -9,9 +9,6 @@
 #pragma once
 
 #include "core/storage_client.h"
-#include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
-#include "dist/replication.h"
 #include "erasure/striper.h"
 
 namespace hyrd::core {
@@ -24,42 +21,21 @@ class RACSClient final : public StorageClientBase {
 
   [[nodiscard]] std::string name() const override { return "RACS"; }
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) override;
-  dist::ReadResult do_get(const std::string& path) override;
-  dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                           common::ByteSpan data) override;
-  dist::RemoveResult do_remove(const std::string& path) override;
-  common::SimDuration on_provider_restored(const std::string& provider) override;
-
   [[nodiscard]] const erasure::StripeGeometry& geometry() const {
-    return erasure_.geometry();
+    return erasure_->geometry();
   }
 
-  /// Engine knobs (see gcsapi/async_batch.h); defaults match the legacy
-  /// synchronous semantics.
+  /// First-k stripe reads (see dist/erasure_scheme.h).
   void set_read_strategy(dist::ErasureReadStrategy s) {
-    erasure_.set_read_strategy(s);
-  }
-  void set_write_ack(gcs::AckPolicy ack) {
-    erasure_.set_write_ack(ack);
-    replication_.set_write_ack(ack);
+    erasure_->set_read_strategy(s);
   }
 
- private:
-  /// Slot assignment for one object: rotation start = hash(path) mod n.
-  [[nodiscard]] std::vector<std::size_t> slots_for(const std::string& path) const;
-
-  /// Stripes one object (data or metadata block), maintaining meta/log.
-  dist::WriteResult write_object(const std::string& path,
-                                 common::Buffer data);
-
-  common::SimDuration persist_metadata(const std::string& dir);
-
-  std::string container_;
-  dist::ErasureScheme erasure_;
-  dist::ReplicationScheme replication_;  // only for RecoveryManager wiring
-  dist::RecoveryManager recovery_;
+ protected:
+  /// An overwrite reuses the previous slots so fragments stay put; a new
+  /// object starts its rotation at hash(path) mod n. Directory blocks are
+  /// striped like any other object.
+  [[nodiscard]] std::vector<std::size_t> placement(
+      const std::string& path) const override;
 };
 
 }  // namespace hyrd::core

@@ -1,117 +1,20 @@
 #include "core/single_client.h"
 
 #include <cassert>
-#include <cstring>
 
 namespace hyrd::core {
 
 SingleCloudClient::SingleCloudClient(gcs::MultiCloudSession& session,
                                      std::string provider,
                                      std::string data_container)
-    : StorageClientBase(session),
-      provider_(std::move(provider)),
-      container_(std::move(data_container)),
-      replication_(container_),
-      erasure_(container_, {.k = 3, .m = 1}),
-      recovery_(session, store_, log_, replication_, erasure_) {
+    // Degenerate level-1 replication.
+    : StorageClientBase(session, data_container,
+                        dist::ReplicationScheme(data_container)),
+      provider_(std::move(provider)) {
   const std::size_t idx = session_.index_of(provider_);
   assert(idx != static_cast<std::size_t>(-1) && "unknown provider");
-  target_ = {idx};
+  targets_ = {idx};
   (void)session_.client(idx).ensure_container(container_);
-}
-
-dist::WriteResult SingleCloudClient::write_object(const std::string& path,
-                                                  common::Buffer data) {
-  dist::WriteResult result =
-      replication_.write(session_, path, std::move(data), target_, nullptr);
-  if (!result.status.is_ok()) return result;
-  store_.upsert_versioned(result.meta);
-  return result;
-}
-
-common::SimDuration SingleCloudClient::persist_metadata(
-    const std::string& dir) {
-  auto r = write_object(meta_block_path(dir),
-                        common::Buffer::from(store_.serialize_directory(dir)));
-  return r.latency;
-}
-
-dist::WriteResult SingleCloudClient::do_put(const std::string& path,
-                                            common::Buffer data) {
-  dist::WriteResult result = write_object(path, std::move(data));
-  if (!result.status.is_ok()) {
-    note_put(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(result.meta.directory());
-  note_put(result.latency, true);
-  return result;
-}
-
-dist::ReadResult SingleCloudClient::do_get(const std::string& path) {
-  dist::ReadResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_get(0, false, false);
-    return result;
-  }
-  result = replication_.read(session_, *m);
-  note_get(result.latency, result.status.is_ok(), result.degraded);
-  return result;
-}
-
-dist::WriteResult SingleCloudClient::do_update(const std::string& path,
-                                            std::uint64_t offset,
-                                            common::ByteSpan data) {
-  dist::WriteResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_update(0, false);
-    return result;
-  }
-  if (!common::range_within(offset, data.size(), m->size)) {
-    result.status = common::invalid_argument("update must not grow the file");
-    note_update(0, false);
-    return result;
-  }
-
-  if (offset == 0 && data.size() == m->size) {
-    result = write_object(path, common::Buffer::borrow(data));
-  } else {
-    result = replication_.update_range(session_, *m, offset, data, nullptr);
-    if (result.status.is_ok()) store_.upsert_versioned(result.meta);
-  }
-  if (!result.status.is_ok()) {
-    note_update(result.latency, false);
-    return result;
-  }
-  result.latency += persist_metadata(m->directory());
-  note_update(result.latency, true);
-  return result;
-}
-
-dist::RemoveResult SingleCloudClient::do_remove(const std::string& path) {
-  dist::RemoveResult result;
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) {
-    result.status = common::not_found("no such file: " + path);
-    note_remove(0, false);
-    return result;
-  }
-  result = replication_.remove(session_, *m);
-  store_.erase(path);
-  result.latency += persist_metadata(m->directory());
-  note_remove(result.latency, result.status.is_ok());
-  return result;
-}
-
-common::SimDuration SingleCloudClient::on_provider_restored(
-    const std::string& provider) {
-  // With a single copy there is nothing to resync from: writes during the
-  // outage failed outright. Replay whatever (empty) log we have.
-  return recovery_.resync(provider).latency;
 }
 
 }  // namespace hyrd::core

@@ -4,6 +4,7 @@
 
 #include "common/checksum.h"
 #include "common/virtual_time.h"
+#include "gcsapi/async_batch.h"
 #include "obs/trace.h"
 
 namespace hyrd::core {
@@ -267,7 +268,181 @@ void StorageClient::note_remove(common::SimDuration latency, bool ok) {
   if (!ok) ++stats_.failed_ops;
 }
 
-// --- StorageClientBase ---
+// --- StorageClientBase: the op skeleton ---
+
+StorageClientBase::StorageClientBase(
+    gcs::MultiCloudSession& session, std::string container,
+    std::optional<dist::ReplicationScheme> replication,
+    std::optional<dist::ErasureScheme> erasure)
+    : session_(session),
+      container_(std::move(container)),
+      replication_(std::move(replication)),
+      erasure_(std::move(erasure)),
+      recovery_(session, store_, log_,
+                replication_ ? &*replication_ : nullptr,
+                erasure_ ? &*erasure_ : nullptr) {
+  log_.bind_keyspace(&store_.keyspace());
+}
+
+namespace {
+/// The one metadata lookup of get/update/remove; a miss sets `status`.
+std::optional<meta::FileMeta> find_file(const meta::MetadataStore& store,
+                                        const std::string& path,
+                                        common::Status& status) {
+  auto m = store.lookup(path);
+  if (!m.has_value()) status = common::not_found("no such file: " + path);
+  return m;
+}
+}  // namespace
+
+void StorageClientBase::commit(dist::WriteResult& result,
+                               const std::vector<std::string>& unreachable) {
+  if (!result.status.is_ok()) return;
+  upsert_and_log(result, unreachable);
+  result.latency += persist_metadata(result.meta.directory());
+}
+
+dist::WriteResult StorageClientBase::do_put(const std::string& path,
+                                            common::Buffer data) {
+  std::vector<std::string> unreachable;
+  dist::WriteResult result = write_object(path, std::move(data), unreachable);
+  commit(result, unreachable);
+  note_put(result.latency, result.status.is_ok());
+  return result;
+}
+
+dist::ReadResult StorageClientBase::do_get(const std::string& path) {
+  dist::ReadResult result;
+  if (const auto m = find_file(store_, path, result.status)) {
+    result = read_object(*m);
+  }
+  note_get(result.latency, result.status.is_ok(), result.degraded);
+  return result;
+}
+
+dist::WriteResult StorageClientBase::do_update(const std::string& path,
+                                               std::uint64_t offset,
+                                               common::ByteSpan data) {
+  dist::WriteResult result;
+  if (const auto m = find_file(store_, path, result.status)) {
+    if (!common::range_within(offset, data.size(), m->size)) {
+      result.status = common::invalid_argument("update must not grow the file");
+    } else {
+      std::vector<std::string> unreachable;
+      result = update_object(*m, offset, data, unreachable);
+      commit(result, unreachable);
+    }
+  }
+  note_update(result.latency, result.status.is_ok());
+  return result;
+}
+
+dist::RemoveResult StorageClientBase::do_remove(const std::string& path) {
+  dist::RemoveResult result;
+  if (const auto m = find_file(store_, path, result.status)) {
+    result = remove_object(*m);
+    store_.erase(path);
+    result.latency += persist_metadata(m->directory());
+  }
+  note_remove(result.latency, result.status.is_ok());
+  return result;
+}
+
+common::SimDuration StorageClientBase::on_provider_restored(
+    const std::string& provider) {
+  return recovery_.resync(provider).latency;
+}
+
+dist::WriteResult StorageClientBase::write_object(
+    const std::string& path, common::Buffer data,
+    std::vector<std::string>& unreachable) {
+  if (erasure_) {
+    return erasure_->write(session_, path, std::move(data), placement(path),
+                           &unreachable);
+  }
+  return replication_->write(session_, path, std::move(data), placement(path),
+                             &unreachable);
+}
+
+dist::ReadResult StorageClientBase::read_object(const meta::FileMeta& m) {
+  return m.redundancy == meta::RedundancyKind::kErasure
+             ? erasure_->read(session_, m)
+             : replication_->read(session_, m);
+}
+
+dist::WriteResult StorageClientBase::update_object(
+    const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
+    std::vector<std::string>& unreachable) {
+  if (m.redundancy == meta::RedundancyKind::kErasure) {
+    return erasure_->update_range(session_, m, offset, data, nullptr,
+                                  &unreachable);
+  }
+  if (offset == 0 && data.size() == m.size) {
+    return write_object(m.path, common::Buffer::borrow(data), unreachable);
+  }
+  return replication_->update_range(session_, m, offset, data, &unreachable);
+}
+
+dist::RemoveResult StorageClientBase::remove_object(const meta::FileMeta& m) {
+  auto result = dist::remove_fragments(session_, container_, m, write_ack_);
+  log_unreachable(result.unreachable_providers, m, meta::LogAction::kRemove);
+  return result;
+}
+
+common::SimDuration StorageClientBase::persist_metadata(
+    const std::string& dir) {
+  std::vector<std::string> unreachable;
+  auto r = write_object(meta_block_path(dir),
+                        common::Buffer::from(store_.serialize_directory(dir)),
+                        unreachable);
+  if (r.status.is_ok()) upsert_and_log(r, unreachable);
+  return r.latency;
+}
+
+void StorageClientBase::upsert_and_log(
+    dist::WriteResult& result, const std::vector<std::string>& unreachable) {
+  store_.upsert_versioned(result.meta);
+  log_unreachable(unreachable, result.meta, meta::LogAction::kPut);
+}
+
+void StorageClientBase::log_unreachable(
+    const std::vector<std::string>& providers, const meta::FileMeta& m,
+    meta::LogAction action) {
+  if (providers.empty()) return;
+  for (const auto& loc : m.locations) {
+    if (std::find(providers.begin(), providers.end(), loc.provider) !=
+        providers.end()) {
+      log_.append(loc.provider, container_, m.path, loc.object_name, action);
+    }
+  }
+}
+
+common::SimDuration StorageClientBase::replicate_block(
+    const std::string& dir, common::ByteSpan block,
+    const std::string& container, const std::vector<std::size_t>& targets) {
+  const std::string object = meta_block_object_name(dir);
+  // Every put runs to completion whatever the ack policy, so a failure
+  // behind an early ack is logged exactly as under wait-for-all.
+  gcs::AsyncBatch batch(session_);
+  for (std::size_t target : targets) {
+    batch.submit(gcs::CloudOp::put(target, {container, object}, block));
+  }
+  gcs::BatchStats stats;
+  auto completions =
+      write_ack_ == gcs::AckPolicy::kAll
+          ? batch.await_all(&stats)
+          : batch.await_ack(write_ack_, &stats, targets.size() / 2 + 1);
+  for (const auto& c : completions) {
+    if (!c.ok()) {
+      log_.append(session_.client(targets[c.op_index]).provider_name(),
+                  container, meta_block_path(dir), object,
+                  meta::LogAction::kPut);
+    }
+  }
+  return stats.latency;
+}
+
+// --- StorageClientBase: local metadata ---
 
 std::optional<meta::FileMeta> StorageClientBase::stat(
     const std::string& path) const {

@@ -445,18 +445,18 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
       static_cast<std::size_t>(offset - first_shard * shard_size);
   const std::uint64_t block_len = new_bytes.size();
 
-  std::vector<gcs::BatchRangeGet> reads;
-  reads.push_back({clients[first_shard],
-                   {container_, meta.locations[first_shard].object_name},
-                   in_shard, block_len});
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    reads.push_back({clients[geom.k + p],
-                     {container_, meta.locations[geom.k + p].object_name},
-                     in_shard, block_len});
+  // Slot of each phase op: the updated data fragment, then the parities.
+  std::vector<std::size_t> slots{first_shard};
+  for (std::size_t p = 0; p < geom.m; ++p) slots.push_back(geom.k + p);
+  gcs::AsyncBatch reads(session);
+  for (std::size_t slot : slots) {
+    reads.submit(gcs::CloudOp::get_range(
+        clients[slot], {container_, meta.locations[slot].object_name},
+        in_shard, block_len));
   }
-  common::SimDuration phase_latency = 0;
-  auto gets = session.parallel_get_range(reads, &phase_latency);
-  result.latency += phase_latency;
+  gcs::BatchStats phase;
+  auto gets = reads.await_all(&phase);
+  result.latency += phase.latency;
   for (const auto& g : gets) {
     if (!g.ok()) {
       // A needed fragment is unreachable: fall back to a degraded
@@ -481,33 +481,31 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
   }
 
   // The code is linear bytewise, so parity deltas apply per block.
-  const common::Buffer& old_block = gets[0].data;
+  const common::Buffer& old_block = gets[0].result.data;
   erasure::ReedSolomon rs(geom.k, geom.m);
   auto deltas = rs.parity_delta(first_shard, old_block, new_bytes);
   assert(deltas.is_ok());
   std::vector<common::Bytes> new_parity_blocks;
   new_parity_blocks.reserve(geom.m);
   for (std::size_t p = 0; p < geom.m; ++p) {
-    common::Bytes block = std::move(gets[1 + p].data).into_bytes();
+    common::Bytes block = std::move(gets[1 + p].result.data).into_bytes();
     const auto& d = deltas.value()[p];
     for (std::size_t i = 0; i < block.size(); ++i) block[i] ^= d[i];
     new_parity_blocks.push_back(std::move(block));
   }
 
-  std::vector<gcs::BatchRangePut> writes;
-  writes.push_back({clients[first_shard],
-                    {container_, meta.locations[first_shard].object_name},
-                    in_shard, new_bytes});
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    writes.push_back({clients[geom.k + p],
-                      {container_, meta.locations[geom.k + p].object_name},
-                      in_shard, common::ByteSpan(new_parity_blocks[p])});
+  gcs::AsyncBatch writes(session);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    writes.submit(gcs::CloudOp::put_range(
+        clients[slots[i]], {container_, meta.locations[slots[i]].object_name},
+        in_shard,
+        i == 0 ? new_bytes : common::ByteSpan(new_parity_blocks[i - 1])));
   }
-  auto puts = session.parallel_put_range(writes, &phase_latency);
-  result.latency += phase_latency;
+  auto puts = writes.await_all(&phase);
+  result.latency += phase.latency;
   for (const auto& p : puts) {
     if (!p.ok()) {
-      result.status = p.status;
+      result.status = p.result.status;
       return result;
     }
   }

@@ -61,8 +61,15 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
       continue;
     }
 
-    if (meta->redundancy == meta::RedundancyKind::kReplicated) {
-      auto whole = replication_.read(session_, *meta);
+    const bool replicated =
+        meta->redundancy == meta::RedundancyKind::kReplicated;
+    if (replicated ? replication_ == nullptr : erasure_ == nullptr) {
+      report.status = common::failed_precondition(
+          "no scheme to rebuild " + rec.path + " with");
+      return report;
+    }
+    if (replicated) {
+      auto whole = replication_->read(session_, *meta);
       report.latency += whole.latency;
       if (!whole.status.is_ok()) {
         report.status = whole.status;
@@ -78,9 +85,8 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
       ++report.objects_repushed;
     } else {
       common::SimDuration rebuild_latency = 0;
-      auto fragments = erasure_.rebuild_fragments_for(session_, *meta,
-                                                      provider,
-                                                      &rebuild_latency);
+      auto fragments = erasure_->rebuild_fragments_for(
+          session_, *meta, provider, &rebuild_latency);
       report.latency += rebuild_latency;
       if (!fragments.is_ok()) {
         report.status = fragments.status();

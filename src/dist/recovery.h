@@ -30,9 +30,12 @@ struct RecoveryReport {
 
 class RecoveryManager {
  public:
+  /// A client passes the schemes it writes with: `replication` rebuilds
+  /// replicated objects, `erasure` striped ones. Either may be null when
+  /// the client never writes that kind.
   RecoveryManager(gcs::MultiCloudSession& session, meta::MetadataStore& store,
-                  meta::UpdateLog& log, const ReplicationScheme& replication,
-                  const ErasureScheme& erasure)
+                  meta::UpdateLog& log, const ReplicationScheme* replication,
+                  const ErasureScheme* erasure)
       : session_(session),
         store_(store),
         log_(log),
@@ -58,8 +61,8 @@ class RecoveryManager {
   gcs::MultiCloudSession& session_;
   meta::MetadataStore& store_;
   meta::UpdateLog& log_;
-  const ReplicationScheme& replication_;
-  const ErasureScheme& erasure_;
+  const ReplicationScheme* replication_;
+  const ErasureScheme* erasure_;
 };
 
 }  // namespace hyrd::dist

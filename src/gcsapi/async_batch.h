@@ -1,17 +1,17 @@
 // AsyncBatch: the completion-ordered async engine under the GCS-API layer.
 //
-// The legacy `parallel_*` primitives are blocking fan-outs whose virtual
-// latency is the max over every member — correct for "wait for all", but a
-// redundancy scheme rarely needs all: RS(k,m) reads need the fastest k
-// shards, a replicated read needs one good replica, and an early-ack write
-// needs the first (or quorum-th) durable copy. AsyncBatch submits each op to
-// the session pool individually and lets the caller aggregate by *order
-// statistic* instead of max:
+// A blocking fan-out's virtual latency is the max over every member —
+// correct for "wait for all", but a redundancy scheme rarely needs all:
+// RS(k,m) reads need the fastest k shards, a replicated read needs one
+// good replica, and an early-ack write needs the first (or quorum-th)
+// durable copy. AsyncBatch submits each op to the session pool
+// individually and lets the caller aggregate by *order statistic* as well
+// as by max:
 //
 //   arrival(op) = op.start_offset + result.latency      (virtual time)
 //
-//   await_all    latency = max arrival over non-cancelled ops (legacy
-//                semantics; the `parallel_*` adapters are built on this)
+//   await_all    latency = max arrival over non-cancelled ops (the
+//                wait-for-all fan-out; results in input order)
 //   await_first  completes once `need` usable ops landed, cancels the
 //                stragglers still unresolved after a real-time grace
 //                period, latency = need-th smallest usable arrival
@@ -188,7 +188,7 @@ class AsyncBatch {
   using UsableFn = std::function<bool(const CloudCompletion&)>;
 
   /// Waits for all ops. Latency = max arrival over non-cancelled ops
-  /// (failures included — identical to the legacy parallel_* contract).
+  /// (failures included).
   /// Returns completions indexed by op_index.
   std::vector<CloudCompletion> await_all(BatchStats* stats = nullptr);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "gcsapi/async_batch.h"
 
 namespace hyrd::gcs {
 
@@ -35,83 +34,6 @@ common::Status MultiCloudSession::ensure_container_everywhere(
     }
   }
   return common::Status::ok();
-}
-
-namespace {
-
-/// The one submit/aggregate core behind every parallel_* adapter: build a
-/// CloudOp per input, run the batch, await all (max-over-arrivals — the
-/// legacy contract), and slice results back into input order. ResultT is
-/// OpResult for write-side ops and GetResult for reads.
-template <typename ResultT, typename Ops, typename MakeOp>
-std::vector<ResultT> run_parallel(MultiCloudSession& session, const Ops& ops,
-                                  MakeOp&& make,
-                                  common::SimDuration* batch_latency) {
-  AsyncBatch batch(session);
-  for (const auto& op : ops) batch.submit(make(op));
-  BatchStats stats;
-  auto completions = batch.await_all(&stats);
-  std::vector<ResultT> results(completions.size());
-  for (auto& c : completions) {
-    if constexpr (std::is_same_v<ResultT, cloud::GetResult>) {
-      results[c.op_index] = std::move(c.result);
-    } else {
-      results[c.op_index] =
-          static_cast<cloud::OpResult&&>(std::move(c.result));
-    }
-  }
-  if (batch_latency != nullptr) *batch_latency = stats.latency;
-  return results;
-}
-
-}  // namespace
-
-std::vector<cloud::OpResult> MultiCloudSession::parallel_put(
-    std::span<const BatchPut> ops, common::SimDuration* batch_latency) {
-  return run_parallel<cloud::OpResult>(
-      *this, ops,
-      [](const BatchPut& op) {
-        return CloudOp::put(op.client_index, op.key, op.data);
-      },
-      batch_latency);
-}
-
-std::vector<cloud::GetResult> MultiCloudSession::parallel_get(
-    std::span<const BatchGet> ops, common::SimDuration* batch_latency) {
-  return run_parallel<cloud::GetResult>(
-      *this, ops,
-      [](const BatchGet& op) { return CloudOp::get(op.client_index, op.key); },
-      batch_latency);
-}
-
-std::vector<cloud::GetResult> MultiCloudSession::parallel_get_range(
-    std::span<const BatchRangeGet> ops, common::SimDuration* batch_latency) {
-  return run_parallel<cloud::GetResult>(
-      *this, ops,
-      [](const BatchRangeGet& op) {
-        return CloudOp::get_range(op.client_index, op.key, op.offset,
-                                  op.length);
-      },
-      batch_latency);
-}
-
-std::vector<cloud::OpResult> MultiCloudSession::parallel_put_range(
-    std::span<const BatchRangePut> ops, common::SimDuration* batch_latency) {
-  return run_parallel<cloud::OpResult>(
-      *this, ops,
-      [](const BatchRangePut& op) {
-        return CloudOp::put_range(op.client_index, op.key, op.offset, op.data);
-      },
-      batch_latency);
-}
-
-std::vector<cloud::OpResult> MultiCloudSession::parallel_remove(
-    const std::vector<std::size_t>& client_indices,
-    const cloud::ObjectKey& key, common::SimDuration* batch_latency) {
-  return run_parallel<cloud::OpResult>(
-      *this, client_indices,
-      [&key](std::size_t client) { return CloudOp::remove(client, key); },
-      batch_latency);
 }
 
 }  // namespace hyrd::gcs

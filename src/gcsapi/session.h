@@ -1,14 +1,9 @@
 // MultiCloudSession: the fan-out half of the GCS-API middleware.
 //
-// Owns one CloudClient per provider and a thread pool. The parallel_*
-// primitives below are thin adapters over the completion-ordered engine
-// (gcsapi/async_batch.h) with the original wait-for-all contract: a batch
-// completes when its slowest member does (latency = max), a sequential
-// chain sums. Schemes that want first-k / hedged / early-ack aggregation
-// build an AsyncBatch directly.
+// Owns one CloudClient per provider and the thread pool that the
+// completion-ordered engine (gcsapi/async_batch.h) runs fan-outs on.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -19,32 +14,6 @@
 #include "gcsapi/client.h"
 
 namespace hyrd::gcs {
-
-/// One unit of a parallel batch: which client, and what to run on it.
-struct BatchPut {
-  std::size_t client_index;
-  cloud::ObjectKey key;
-  common::ByteSpan data;
-};
-
-struct BatchGet {
-  std::size_t client_index;
-  cloud::ObjectKey key;
-};
-
-struct BatchRangeGet {
-  std::size_t client_index;
-  cloud::ObjectKey key;
-  std::uint64_t offset;
-  std::uint64_t length;
-};
-
-struct BatchRangePut {
-  std::size_t client_index;
-  cloud::ObjectKey key;
-  std::uint64_t offset;
-  common::ByteSpan data;
-};
 
 class MultiCloudSession {
  public:
@@ -69,26 +38,6 @@ class MultiCloudSession {
 
   /// Creates `container` on every provider (idempotent).
   common::Status ensure_container_everywhere(const std::string& container);
-
-  /// Issues all puts concurrently. Returns per-op results in input order;
-  /// `batch_latency` (if non-null) receives the max latency.
-  std::vector<cloud::OpResult> parallel_put(std::span<const BatchPut> ops,
-                                            common::SimDuration* batch_latency);
-
-  /// Issues all gets concurrently; same aggregation contract.
-  std::vector<cloud::GetResult> parallel_get(std::span<const BatchGet> ops,
-                                             common::SimDuration* batch_latency);
-
-  /// Range variants with the same aggregation contract.
-  std::vector<cloud::GetResult> parallel_get_range(
-      std::span<const BatchRangeGet> ops, common::SimDuration* batch_latency);
-  std::vector<cloud::OpResult> parallel_put_range(
-      std::span<const BatchRangePut> ops, common::SimDuration* batch_latency);
-
-  /// Removes the same key from the given clients concurrently.
-  std::vector<cloud::OpResult> parallel_remove(
-      const std::vector<std::size_t>& client_indices,
-      const cloud::ObjectKey& key, common::SimDuration* batch_latency);
 
  private:
   std::vector<std::unique_ptr<CloudClient>> clients_;

@@ -247,44 +247,6 @@ TEST_F(AsyncBatchTest, LateSubmitAfterCancelStillRuns) {
   EXPECT_EQ(c->result.data, payload_);
 }
 
-TEST_F(AsyncBatchTest, AdapterMatchesEngineAwaitAll) {
-  // The parallel_* adapters are thin wrappers over await_all; the same
-  // deterministic fleet must produce byte-identical results and the same
-  // batch latency through either surface.
-  cloud::CloudRegistry reg_a;
-  cloud::CloudRegistry reg_b;
-  cloud::install_standard_four(reg_a, 1234);
-  cloud::install_standard_four(reg_b, 1234);
-  MultiCloudSession sess_a(reg_a);
-  MultiCloudSession sess_b(reg_b);
-  for (auto* s : {&sess_a, &sess_b}) {
-    s->ensure_container_everywhere("c");
-    for (std::size_t i = 0; i < s->client_count(); ++i) {
-      s->client(i).put({"c", "k"}, payload_);
-    }
-  }
-
-  std::vector<BatchGet> gets;
-  for (std::size_t i = 0; i < 4; ++i) gets.push_back({i, {"c", "k"}});
-  common::SimDuration adapter_latency = 0;
-  auto adapter_results = sess_a.parallel_get(gets, &adapter_latency);
-
-  AsyncBatch batch(sess_b);
-  for (std::size_t i = 0; i < 4; ++i) {
-    batch.submit(CloudOp::get(i, {"c", "k"}));
-  }
-  BatchStats stats;
-  auto engine_results = batch.await_all(&stats);
-
-  EXPECT_EQ(adapter_latency, stats.latency);
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(adapter_results[i].ok());
-    ASSERT_TRUE(engine_results[i].ok());
-    EXPECT_EQ(adapter_results[i].data, engine_results[i].result.data);
-    EXPECT_EQ(adapter_results[i].latency, engine_results[i].result.latency);
-  }
-}
-
 TEST_F(AsyncBatchTest, DestructorJoinsWedgedTasks) {
   // A batch abandoned mid-flight (e.g. its scheme threw) must cancel and
   // join its tasks rather than leaving a pool thread running into freed

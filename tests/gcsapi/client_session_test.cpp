@@ -2,6 +2,7 @@
 
 #include "cloud/profiles.h"
 #include "gcsapi/client.h"
+#include "gcsapi/async_batch.h"
 #include "gcsapi/session.h"
 
 namespace hyrd::gcs {
@@ -136,20 +137,20 @@ TEST_F(ClientSessionTest, ParallelPutLatencyIsMax) {
   ASSERT_TRUE(session.ensure_container_everywhere("c").is_ok());
 
   const common::Bytes data = common::patterned(200000, 1);
-  std::vector<BatchPut> batch;
+  AsyncBatch batch(session);
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back({i, {"c", "k" + std::to_string(i)}, data});
+    batch.submit(CloudOp::put(i, {"c", "k" + std::to_string(i)}, data));
   }
-  common::SimDuration batch_latency = 0;
-  auto results = session.parallel_put(batch, &batch_latency);
+  BatchStats stats;
+  auto results = batch.await_all(&stats);
   ASSERT_EQ(results.size(), 4u);
   common::SimDuration max_single = 0;
   for (const auto& r : results) {
     ASSERT_TRUE(r.ok());
-    max_single = std::max(max_single, r.latency);
+    max_single = std::max(max_single, r.result.latency);
   }
-  EXPECT_EQ(batch_latency, max_single);
-  EXPECT_GT(batch_latency, 0);
+  EXPECT_EQ(stats.latency, max_single);
+  EXPECT_GT(stats.latency, 0);
 }
 
 TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
@@ -159,13 +160,14 @@ TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
     session.client(i).put({"c", "k"},
                           common::bytes_of("v" + std::to_string(i)));
   }
-  std::vector<BatchGet> batch;
-  for (std::size_t i = 0; i < 4; ++i) batch.push_back({i, {"c", "k"}});
-  common::SimDuration lat = 0;
-  auto results = session.parallel_get(batch, &lat);
+  AsyncBatch batch(session);
+  for (std::size_t i = 0; i < 4; ++i) batch.submit(CloudOp::get(i, {"c", "k"}));
+  auto results = batch.await_all();
   for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(results[i].op_index, i);
     ASSERT_TRUE(results[i].ok());
-    EXPECT_EQ(common::to_string(results[i].data), "v" + std::to_string(i));
+    EXPECT_EQ(common::to_string(results[i].result.data),
+              "v" + std::to_string(i));
   }
 }
 
@@ -175,9 +177,11 @@ TEST_F(ClientSessionTest, ParallelRemoveHitsAllTargets) {
   for (std::size_t i = 0; i < 4; ++i) {
     session.client(i).put({"c", "k"}, common::bytes_of("x"));
   }
-  common::SimDuration lat = 0;
-  auto results = session.parallel_remove({0, 1, 2, 3}, {"c", "k"}, &lat);
-  for (const auto& r : results) EXPECT_TRUE(r.ok());
+  AsyncBatch batch(session);
+  for (std::size_t i = 0; i < 4; ++i) {
+    batch.submit(CloudOp::remove(i, {"c", "k"}));
+  }
+  for (const auto& r : batch.await_all()) EXPECT_TRUE(r.ok());
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_FALSE(session.client(i).get({"c", "k"}).ok());
   }

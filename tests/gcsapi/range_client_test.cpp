@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cloud/profiles.h"
+#include "gcsapi/async_batch.h"
 #include "gcsapi/session.h"
 
 namespace hyrd::gcs {
@@ -53,21 +54,21 @@ TEST_F(RangeClientTest, ParallelGetRangeBatch) {
   for (std::size_t i = 0; i < 4; ++i) {
     session_->client(i).put({"c", "k"}, common::patterned(10000, i));
   }
-  std::vector<BatchRangeGet> batch;
+  AsyncBatch batch(*session_);
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back({i, {"c", "k"}, 100, 256});
+    batch.submit(CloudOp::get_range(i, {"c", "k"}, 100, 256));
   }
-  common::SimDuration latency = 0;
-  auto results = session_->parallel_get_range(batch, &latency);
+  BatchStats stats;
+  auto results = batch.await_all(&stats);
   common::SimDuration max_single = 0;
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(results[i].ok());
     const common::Bytes full = common::patterned(10000, i);
-    EXPECT_EQ(results[i].data,
+    EXPECT_EQ(results[i].result.data,
               common::Bytes(full.begin() + 100, full.begin() + 356));
-    max_single = std::max(max_single, results[i].latency);
+    max_single = std::max(max_single, results[i].result.latency);
   }
-  EXPECT_EQ(latency, max_single);
+  EXPECT_EQ(stats.latency, max_single);
 }
 
 TEST_F(RangeClientTest, ParallelPutRangeBatch) {
@@ -75,12 +76,11 @@ TEST_F(RangeClientTest, ParallelPutRangeBatch) {
     session_->client(i).put({"c", "k"}, common::Bytes(1000, 0));
   }
   const auto patch = common::patterned(64, 1);
-  std::vector<BatchRangePut> batch;
+  AsyncBatch batch(*session_);
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back({i, {"c", "k"}, 500, patch});
+    batch.submit(CloudOp::put_range(i, {"c", "k"}, 500, patch));
   }
-  common::SimDuration latency = 0;
-  auto results = session_->parallel_put_range(batch, &latency);
+  auto results = batch.await_all();
   for (std::size_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(results[i].ok());
     auto r = session_->client(i).get_range({"c", "k"}, 500, 64);
