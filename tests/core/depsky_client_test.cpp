@@ -113,6 +113,29 @@ TEST_F(DepSkyTest, PartialUpdateQuorum) {
   EXPECT_EQ(r.data, expected);
 }
 
+TEST_F(DepSkyTest, FailedQuorumUpdateChargesTheWaitLikeAFailedWrite) {
+  ASSERT_TRUE(client_->put("/f", common::patterned(10000, 13)).status.is_ok());
+  registry_.find("Rackspace")->set_online(false);
+  registry_.find("AmazonS3")->set_online(false);
+  // Every put runs to completion, so a failed quorum op costs the slowest
+  // reply: the newest trace entry across the four clouds.
+  const auto waited = [&] {
+    common::SimDuration slowest = 0;
+    for (std::size_t i = 0; i < session_->client_count(); ++i) {
+      slowest = std::max(slowest,
+                         session_->client(i).recent_ops().back().latency);
+    }
+    return slowest;
+  };
+  auto w = client_->put("/g", common::patterned(10000, 14));
+  ASSERT_EQ(w.status.code(), common::StatusCode::kUnavailable);
+  EXPECT_EQ(w.latency, waited());
+  auto u = client_->update("/f", 500, common::patterned(100, 15));
+  ASSERT_EQ(u.status.code(), common::StatusCode::kUnavailable);
+  EXPECT_GT(u.latency, 0);
+  EXPECT_EQ(u.latency, waited());
+}
+
 TEST_F(DepSkyTest, UpdateCannotGrow) {
   client_->put("/f", common::patterned(100, 9));
   EXPECT_EQ(client_->update("/f", 95, common::patterned(10, 10)).status.code(),
