@@ -227,7 +227,21 @@ void BM_Crc32c(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_Crc32c)->Range(1 << 10, 4 << 20);
+// The range includes 4 KiB; with 16 KiB it covers the fleet workloads'
+// object sizes.
+BENCHMARK(BM_Crc32c)->Range(1 << 10, 4 << 20)->Arg(16 << 10);
+
+// Object CRC of a stripe from its slots' CRCs: one combine per data slot.
+void BM_Crc32cCombine(benchmark::State& state) {
+  const auto len2 = static_cast<std::uint64_t>(state.range(0));
+  std::uint32_t crc1 = common::crc32c(common::patterned(64, 13));
+  const std::uint32_t crc2 = common::crc32c(common::patterned(64, 14));
+  for (auto _ : state) {
+    crc1 = common::crc32c_combine(crc1, crc2, len2);
+    benchmark::DoNotOptimize(crc1);
+  }
+}
+BENCHMARK(BM_Crc32cCombine)->Arg(4 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 void BM_Sha256(benchmark::State& state) {
   const auto data =

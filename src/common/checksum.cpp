@@ -11,6 +11,8 @@
 namespace hyrd::common {
 namespace {
 
+constexpr std::uint32_t kPolyReflected = 0x82F63B78u;  // 0x1EDC6F41 reflected
+
 // Slicing-by-8 CRC-32C: table[0] is the classic bitwise-derived table,
 // table[t][b] extends it so eight input bytes fold into the running CRC
 // with eight independent lookups per 64-bit load.
@@ -20,7 +22,6 @@ struct Crc32cTables {
 
 Crc32cTables make_crc32c_tables() {
   Crc32cTables tables{};
-  constexpr std::uint32_t kPolyReflected = 0x82F63B78u;  // 0x1EDC6F41 reflected
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
@@ -39,6 +40,54 @@ Crc32cTables make_crc32c_tables() {
 }
 
 const Crc32cTables kCrc = make_crc32c_tables();
+
+// GF(2) polynomial arithmetic modulo the CRC polynomial, in the reflected
+// bit order the CRC register uses (bit 31 is the x^0 coefficient). Running
+// a raw CRC register over n zero bytes multiplies it by x^(8n) mod P, so
+// this one operator drives crc32c_combine, crc32c_zero_extend and the
+// fold tables of the interleaved kernel.
+
+/// a(x) * b(x) mod P(x); requires a != 0.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1u << 31;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPolyReflected : b >> 1;
+  }
+  return p;
+}
+
+/// x^(8 * 2^i) mod P(x) for i in [0, 64), by repeated squaring of x^8.
+struct ZeroBytesTable {
+  std::uint32_t t[64];
+};
+
+ZeroBytesTable make_zero_bytes_table() {
+  ZeroBytesTable z{};
+  std::uint32_t p = 1u << 23;  // x^8
+  for (auto& e : z.t) {
+    e = p;
+    p = multmodp(p, p);
+  }
+  return z;
+}
+
+const ZeroBytesTable kZeroBytes = make_zero_bytes_table();
+
+/// x^(8 * n) mod P(x): the operator that runs a raw register over n zero
+/// bytes. O(log n) multiplications.
+std::uint32_t zero_bytes_op(std::uint64_t n) {
+  std::uint32_t p = 1u << 31;  // x^0
+  for (int i = 0; n != 0; n >>= 1, ++i) {
+    if (n & 1u) p = multmodp(kZeroBytes.t[i], p);
+  }
+  return p;
+}
 
 std::uint32_t crc32c_sw(std::uint32_t crc, const std::uint8_t* p,
                         std::size_t n) {
@@ -60,15 +109,73 @@ std::uint32_t crc32c_sw(std::uint32_t crc, const std::uint8_t* p,
 }
 
 #ifdef HYRD_CRC_X86
-// SSE4.2 CRC32 instruction: 8 bytes per cycle-ish, same polynomial.
+// The CRC32 instruction has a latency of three cycles and a throughput of
+// one per cycle, so one dependent chain runs at a third of the unit's rate.
+// The kernel runs three independent chains over adjacent blocks and folds
+// them: crc(A|B|C) = shift_B(shift_B(crc(A)) ^ crc0(B)) ^ crc0(C), where
+// crc0 starts from a zero register and shift_B runs a register over a
+// block of zero bytes, applied per byte through a 4x256 table.
+constexpr std::size_t kLongBlock = 8192;
+constexpr std::size_t kShortBlock = 256;
+
+struct ShiftTable {
+  std::uint32_t t[4][256];
+};
+
+ShiftTable make_shift_table(std::size_t block) {
+  ShiftTable z{};
+  const std::uint32_t op = zero_bytes_op(block);
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    for (int byte = 0; byte < 4; ++byte) {
+      z.t[byte][b] = multmodp(op, b << (8 * byte));
+    }
+  }
+  return z;
+}
+
+const ShiftTable kShiftLong = make_shift_table(kLongBlock);
+const ShiftTable kShiftShort = make_shift_table(kShortBlock);
+
+inline std::uint64_t shift(const ShiftTable& z, std::uint64_t crc) {
+  return z.t[0][crc & 0xFF] ^ z.t[1][(crc >> 8) & 0xFF] ^
+         z.t[2][(crc >> 16) & 0xFF] ^ z.t[3][(crc >> 24) & 0xFF];
+}
+
+inline std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, 8);
+  return w;
+}
+
+/// Consumes whole 3 x kBlock runs of [p, p + n) into register c0.
+template <std::size_t kBlock>
+__attribute__((target("sse4.2"))) inline std::uint64_t crc32c_hw_3way(
+    std::uint64_t c0, const std::uint8_t*& p, std::size_t& n,
+    const ShiftTable& z) {
+  while (n >= 3 * kBlock) {
+    std::uint64_t c1 = 0;
+    std::uint64_t c2 = 0;
+    for (std::size_t i = 0; i < kBlock; i += 8) {
+      c0 = _mm_crc32_u64(c0, load64(p + i));
+      c1 = _mm_crc32_u64(c1, load64(p + kBlock + i));
+      c2 = _mm_crc32_u64(c2, load64(p + 2 * kBlock + i));
+    }
+    c0 = shift(z, c0) ^ c1;
+    c0 = shift(z, c0) ^ c2;
+    p += 3 * kBlock;
+    n -= 3 * kBlock;
+  }
+  return c0;
+}
+
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(std::uint32_t crc,
                                                           const std::uint8_t* p,
                                                           std::size_t n) {
   std::uint64_t c = crc;
+  c = crc32c_hw_3way<kLongBlock>(c, p, n, kShiftLong);
+  c = crc32c_hw_3way<kShortBlock>(c, p, n, kShiftShort);
   while (n >= 8) {
-    std::uint64_t w;
-    std::memcpy(&w, p, 8);
-    c = _mm_crc32_u64(c, w);
+    c = _mm_crc32_u64(c, load64(p));
     p += 8;
     n -= 8;
   }
@@ -108,6 +215,21 @@ constexpr std::array<std::uint32_t, 64> kSha256K = {
 std::uint32_t crc32c(ByteSpan data, std::uint32_t seed) {
   return ~kCrcImpl(~seed, data.data(), data.size());
 }
+
+std::uint32_t crc32c_combine(std::uint32_t crc1, std::uint32_t crc2,
+                             std::uint64_t len2) {
+  return multmodp(zero_bytes_op(len2), crc1) ^ crc2;
+}
+
+std::uint32_t crc32c_zero_extend(std::uint32_t crc, std::uint64_t n) {
+  return ~multmodp(zero_bytes_op(n), ~crc);
+}
+
+namespace detail {
+std::uint32_t crc32c_slicing8(ByteSpan data, std::uint32_t seed) {
+  return ~crc32c_sw(~seed, data.data(), data.size());
+}
+}  // namespace detail
 
 std::uint32_t crc32c_reference(ByteSpan data, std::uint32_t seed) {
   std::uint32_t crc = ~seed;

@@ -69,6 +69,24 @@ bool fragment_intact(const meta::FileMeta& meta, std::size_t slot,
   return common::crc32c(fragment) == meta.fragment_crcs[slot];
 }
 
+/// await_first predicate over a batch of fragment gets (`op_slot` maps
+/// op_index to slot): the get succeeded and its fragment is intact.
+/// await_first re-tests every resolved op on each wake-up and again when
+/// it ranks arrivals, and the caller tests once more when collecting, so
+/// each op's verdict is recorded in `verdicts` (-1 = not yet checked) and
+/// every fragment is CRC'd once.
+auto usable_fragment(const meta::FileMeta& meta,
+                     const std::vector<std::size_t>& op_slot,
+                     std::vector<std::int8_t>& verdicts) {
+  verdicts.assign(op_slot.size(), -1);
+  return [&meta, &op_slot, &verdicts](const gcs::CloudCompletion& c) {
+    if (!c.ok()) return false;
+    std::int8_t& v = verdicts[c.op_index];
+    if (v < 0) v = fragment_intact(meta, op_slot[c.op_index], c.result.data);
+    return v == 1;
+  };
+}
+
 }  // namespace
 
 WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
@@ -92,10 +110,13 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   // and the m parity shards live in one side arena, sliced per fragment.
   std::vector<common::Buffer> fragments(total);
   std::vector<common::ByteSpan> data_views(geom.k);
+  std::vector<common::ByteSpan> real_views(geom.k);  // data bytes, no padding
   std::vector<std::size_t> pad_slots;
   for (std::size_t i = 0; i < geom.k; ++i) {
     const std::size_t offset = i * shard_size;
     const std::size_t avail = offset < data.size() ? data.size() - offset : 0;
+    real_views[i] = data.span().subspan(std::min(offset, data.size()),
+                                        std::min(avail, shard_size));
     if (avail >= shard_size) {
       fragments[i] = data.slice(offset, shard_size);
       data_views[i] = fragments[i];
@@ -106,11 +127,8 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
 
   common::MutableBuffer arena((pad_slots.size() + geom.m) * shard_size);
   for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-    const std::size_t offset = pad_slots[j] * shard_size;
-    const std::size_t avail = offset < data.size() ? data.size() - offset : 0;
-    if (avail > 0) {
-      arena.write(j * shard_size, data.span().subspan(offset, avail));
-    }
+    const common::ByteSpan real = real_views[pad_slots[j]];
+    if (!real.empty()) arena.write(j * shard_size, real);
   }
   // Parity regions: writable spans taken before freeze(). The encode below
   // fills them before any parity slice is submitted, and no other view
@@ -130,6 +148,9 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   // Pipeline: parity encode and checksums run on the session pool while
   // the k data fragments (available immediately) are dispatched. Parity
   // is encoded in independent chunks so the pool can spread the GF work.
+  // Each data byte is hashed once: a slot's CRC covers its real bytes, the
+  // object CRC combines those, and a padded slot's fragment CRC extends
+  // its real-byte CRC over the zero padding.
   auto& pool = session.pool();
   const erasure::ReedSolomon& rs = striper_.codec();
   constexpr std::size_t kEncodeChunk = 256 * 1024;
@@ -149,12 +170,10 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
       (void)rs.encode_into(d, pv);
     }));
   }
-  auto object_crc_fut =
-      pool.submit([view = data.span()] { return common::crc32c(view); });
   std::vector<std::future<std::uint32_t>> crc_futs(total);
   for (std::size_t i = 0; i < geom.k; ++i) {
     crc_futs[i] = pool.submit(
-        [view = data_views[i]] { return common::crc32c(view); });
+        [view = real_views[i]] { return common::crc32c(view); });
   }
 
   std::vector<cloud::ObjectKey> keys;
@@ -201,13 +220,18 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   m.path = path;
   m.size = data.size();
   m.redundancy = meta::RedundancyKind::kErasure;
-  m.crc = object_crc_fut.get();
   m.stripe_k = static_cast<std::uint32_t>(geom.k);
   m.stripe_m = static_cast<std::uint32_t>(geom.m);
   m.shard_size = shard_size;
   m.fragment_crcs.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
-    m.fragment_crcs.push_back(crc_futs[i].get());
+    std::uint32_t crc = crc_futs[i].get();
+    if (i < geom.k) {
+      const std::size_t real = real_views[i].size();
+      m.crc = common::crc32c_combine(m.crc, crc, real);
+      crc = common::crc32c_zero_extend(crc, shard_size - real);
+    }
+    m.fragment_crcs.push_back(crc);
   }
   for (std::size_t i = 0; i < total; ++i) {
     const cloud::OpResult& put_result = put_completions[i].result;
@@ -229,7 +253,7 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   stripe_metrics().encode_bytes.add(
       static_cast<std::uint64_t>(geom.m) * shard_size);
   stripe_metrics().crc_bytes.add(data.size() +
-                                 static_cast<std::uint64_t>(total) * shard_size);
+                                 static_cast<std::uint64_t>(geom.m) * shard_size);
   result.status = common::Status::ok();
   result.meta = std::move(m);
   emit_stripe_span("stripe_write", result.latency,
@@ -281,18 +305,16 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       }
       submit_slot(i, 0);
     }
-    const auto usable = [&](const gcs::CloudCompletion& c) {
-      return c.ok() && fragment_intact(meta, op_slot[c.op_index], c.result.data);
-    };
+    std::vector<std::int8_t> verdicts;
+    const auto usable = usable_fragment(meta, op_slot, verdicts);
     gcs::BatchStats stats;
     auto completions = batch.await_first(geom.k, &stats, usable);
     result.latency += stats.latency;
     result.saved = stats.saved();
     result.cancelled_stragglers = stats.cancelled;
     for (auto& c : completions) {
-      const std::size_t slot = op_slot[c.op_index];
-      if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
-        shards[slot] = std::move(c.result.data);
+      if (usable(c)) {
+        shards[op_slot[c.op_index]] = std::move(c.result.data);
       } else if (!c.cancelled) {
         // A real failure (outage surprise or corruption), not a straggler
         // we tore down ourselves.
@@ -563,10 +585,8 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
 
   // Reconstruction needs any k intact survivors; under kFastestK the
   // rebuild completes at the k-th and cancels the rest.
-  const auto usable = [&](const gcs::CloudCompletion& c) {
-    return c.ok() &&
-           fragment_intact(meta, batch_slots[c.op_index], c.result.data);
-  };
+  std::vector<std::int8_t> verdicts;
+  const auto usable = usable_fragment(meta, batch_slots, verdicts);
   gcs::BatchStats stats;
   auto gets = read_strategy_ == ErasureReadStrategy::kFastestK
                   ? batch.await_first(geom.k, &stats, usable)
@@ -574,9 +594,8 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   if (latency != nullptr) *latency += stats.latency;
   for (auto& c : gets) {
     // Corrupt survivors must not poison the rebuilt fragments.
-    const std::size_t slot = batch_slots[c.op_index];
-    if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
-      shards[slot] = std::move(c.result.data).into_bytes();
+    if (usable(c)) {
+      shards[batch_slots[c.op_index]] = std::move(c.result.data).into_bytes();
     }
   }
 

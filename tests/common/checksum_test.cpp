@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "common/bytes.h"
 
 namespace hyrd::common {
@@ -67,19 +73,111 @@ TEST(Crc32c, ChainingSplitsAnywhere) {
   }
 }
 
+// Lengths that cross every block boundary of the interleaved kernel: all
+// of 0..1025, then every length within 9 bytes of each multiple of 768
+// (3 x 256) and of 24 576 (3 x 8192), up to 2 x 24 576 + 64. Returned
+// as runs of consecutive lengths.
+std::vector<std::pair<std::size_t, std::size_t>> fold_boundary_runs() {
+  constexpr std::size_t kMax = 2 * 24576 + 64;
+  std::vector<std::pair<std::size_t, std::size_t>> runs{{0, 1025}};
+  for (std::size_t m = 768; m + 9 <= kMax; m += 768) {
+    runs.emplace_back(m - 9, m + 9);  // 24 576 is a multiple of 768
+  }
+  runs.emplace_back(kMax - 18, kMax);
+  return runs;
+}
+
+// Checks `crc` against crc32c_reference over fold_boundary_runs() at all
+// eight start alignments, seeded and unseeded. The reference runs once per
+// run and is chained bytewise across it, so the check stays cheap.
+void expect_matches_reference_across_folds(
+    std::uint32_t (*crc)(ByteSpan, std::uint32_t)) {
+  const auto runs = fold_boundary_runs();
+  const Bytes base = patterned(runs.back().second + 8, 41);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (const std::uint32_t seed : {0u, 0xDEADBEEFu}) {
+      for (const auto& [lo, hi] : runs) {
+        std::uint32_t ref =
+            crc32c_reference(ByteSpan(base.data() + off, lo), seed);
+        for (std::size_t len = lo; len <= hi; ++len) {
+          if (len > lo) {
+            ref = crc32c_reference(ByteSpan(base.data() + off + len - 1, 1),
+                                   ref);
+          }
+          ASSERT_EQ(crc(ByteSpan(base.data() + off, len), seed), ref)
+              << "off=" << off << " len=" << len << " seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
 TEST(Crc32c, WideMatchesReferenceAllLengths) {
-  // The slicing-by-8 / hardware path must agree with the retained
-  // bytewise reference for every length and alignment, including the
-  // sub-8-byte head and tail cases.
-  const Bytes base = patterned(1025 + 8, 41);
-  for (const std::size_t off :
-       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
-    for (std::size_t len = 0; len <= 1025; ++len) {
-      const ByteSpan span(base.data() + off, len);
-      ASSERT_EQ(crc32c(span), crc32c_reference(span))
-          << "off=" << off << " len=" << len;
-      ASSERT_EQ(crc32c(span, 0xDEADBEEF), crc32c_reference(span, 0xDEADBEEF))
-          << "seeded off=" << off << " len=" << len;
+  // The dispatched path (three interleaved CRC32 chains on SSE4.2 hosts)
+  // must agree with the retained bytewise reference for every length and
+  // alignment: the sub-8-byte head and tail cases and both sides of each
+  // 3 x 256 and 3 x 8192 fold boundary.
+  expect_matches_reference_across_folds(
+      [](ByteSpan data, std::uint32_t seed) { return crc32c(data, seed); });
+}
+
+TEST(Crc32c, SlicingBy8MatchesReference) {
+  // The path hosts without SSE4.2 run, tested directly on hosts with it.
+  expect_matches_reference_across_folds(
+      [](ByteSpan data, std::uint32_t seed) {
+        return detail::crc32c_slicing8(data, seed);
+      });
+}
+
+TEST(Crc32c, MultiMiBMatchesReference) {
+  const Bytes data = patterned((9 << 19) + 13, 17);  // 4.5 MiB + 13
+  EXPECT_EQ(crc32c(data), crc32c_reference(data));
+  EXPECT_EQ(detail::crc32c_slicing8(data), crc32c_reference(data));
+}
+
+TEST(Crc32c, CombineMatchesDirectOverRandomSplits) {
+  std::mt19937_64 rng(2015);
+  const Bytes data = patterned((5 << 20) + 7, 23);
+  const auto check = [&](std::size_t begin, std::size_t split,
+                         std::size_t end) {
+    const ByteSpan a(data.data() + begin, split - begin);
+    const ByteSpan b(data.data() + split, end - split);
+    const ByteSpan ab(data.data() + begin, end - begin);
+    ASSERT_EQ(crc32c_combine(crc32c(a), crc32c(b), b.size()), crc32c(ab))
+        << "begin=" << begin << " split=" << split << " end=" << end;
+  };
+  check(0, 0, 0);                  // both parts empty
+  check(0, 0, 100);                // empty head
+  check(0, 100, 100);              // len2 = 0
+  check(0, data.size() / 3, data.size());  // multi-MiB on both sides
+  check(0, 1, data.size());
+  for (int i = 0; i < 200; ++i) {
+    // Mostly short pieces; one draw in ten spans the whole input.
+    const std::size_t window =
+        i % 10 == 0 ? data.size()
+                    : std::min(data.size(), std::size_t{1} << (rng() % 16));
+    const std::size_t base = rng() % (data.size() - window + 1);
+    std::array<std::size_t, 3> cut{};
+    for (auto& c : cut) c = base + rng() % (window + 1);
+    std::sort(cut.begin(), cut.end());
+    check(cut[0], cut[1], cut[2]);
+  }
+}
+
+TEST(Crc32c, ZeroExtendMatchesDirect) {
+  EXPECT_EQ(crc32c_zero_extend(0, 0), 0u);
+  EXPECT_EQ(crc32c_zero_extend(0, 32), 0x8A9136AAu);  // RFC 3720 vector
+  const Bytes head = patterned(1000, 5);
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{7}, std::size_t{8},
+        std::size_t{255}, std::size_t{256}, std::size_t{8193},
+        std::size_t{24577}, std::size_t{3 << 20} + 5}) {
+    for (const std::size_t h : {std::size_t{0}, std::size_t{1}, head.size()}) {
+      Bytes padded(head.begin(), head.begin() + static_cast<std::ptrdiff_t>(h));
+      padded.resize(h + n, 0);
+      const std::uint32_t crc = crc32c(ByteSpan(head.data(), h));
+      ASSERT_EQ(crc32c_zero_extend(crc, n), crc32c(padded))
+          << "head=" << h << " n=" << n;
     }
   }
 }

@@ -61,6 +61,24 @@ TEST_F(CorruptionTest, CorruptDataFragmentIsReconstructedThrough) {
   }
 }
 
+TEST_F(CorruptionTest, FastestKExcludesCorruptDataFragment) {
+  // First-k-of-n requests all four fragments; a corrupt data fragment must
+  // not count toward k, so the read reconstructs from the other three.
+  ErasureScheme fastest("data", {.k = 3, .m = 1});
+  fastest.set_read_strategy(ErasureReadStrategy::kFastestK);
+  const auto data = common::patterned(2 << 20, 8);
+  for (std::size_t slot = 0; slot < 3; ++slot) {
+    auto w = fastest.write(*session_, "/k" + std::to_string(slot), data,
+                           slots_);
+    ASSERT_TRUE(w.status.is_ok()) << "slot " << slot;
+    corrupt_fragment(w.meta, slot);
+    auto r = fastest.read(*session_, w.meta);
+    ASSERT_TRUE(r.status.is_ok()) << "slot " << slot;
+    EXPECT_TRUE(r.degraded) << "slot " << slot;
+    EXPECT_EQ(r.data, data) << "slot " << slot;
+  }
+}
+
 TEST_F(CorruptionTest, CorruptParityHarmlessOnNormalRead) {
   const auto data = common::patterned(1 << 20, 3);
   auto w = scheme_.write(*session_, "/f", data, slots_);

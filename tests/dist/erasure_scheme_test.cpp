@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "cloud/profiles.h"
+#include "common/checksum.h"
 
 namespace hyrd::dist {
 namespace {
@@ -237,6 +240,51 @@ TEST_F(ErasureSchemeTest, LargeReadLatencyBeatsSingleFullTransfer) {
   auto whole = rack.get({"whole", "o"});
   ASSERT_TRUE(whole.ok());
   EXPECT_LT(striped.latency, whole.latency);
+}
+
+// The writer hashes each byte once and derives the object CRC and the
+// padded tail fragment's CRC by combination; both must equal a direct
+// CRC over the object and over each stored fragment.
+TEST(ErasureStripeCrcTest, CombinedCrcsMatchDirectComputation) {
+  cloud::CloudRegistry registry;
+  cloud::install_standard_four(registry, 19);
+  auto s3b = cloud::amazon_s3_profile();
+  s3b.name = "AmazonS3-b";
+  registry.add(s3b, 20);
+  auto aliyun_b = cloud::aliyun_profile();
+  aliyun_b.name = "Aliyun-b";
+  registry.add(aliyun_b, 21);
+  gcs::MultiCloudSession session(registry);
+  session.ensure_container_everywhere("data");
+
+  for (const erasure::StripeGeometry geom :
+       {erasure::StripeGeometry{.k = 2, .m = 1},
+        erasure::StripeGeometry{.k = 4, .m = 2}}) {
+    ErasureScheme scheme("data", geom);
+    std::vector<std::size_t> slots(geom.total());
+    std::iota(slots.begin(), slots.end(), std::size_t{0});
+    const std::uint64_t k = geom.k;
+    for (const std::uint64_t size :
+         {std::uint64_t{0}, std::uint64_t{1}, k - 1, k, 4096 * k,
+          4096 * k + 1, std::uint64_t{1 << 20} + 1, std::uint64_t{8 << 20}}) {
+      const auto data = common::patterned(size, size + k);
+      const std::string path =
+          "/k" + std::to_string(k) + "/" + std::to_string(size);
+      auto w = scheme.write(session, path, data, slots);
+      ASSERT_TRUE(w.status.is_ok()) << path;
+      EXPECT_EQ(w.meta.crc, common::crc32c(data)) << path;
+      ASSERT_EQ(w.meta.fragment_crcs.size(), geom.total()) << path;
+      for (std::size_t i = 0; i < geom.total(); ++i) {
+        const auto& loc = w.meta.locations[i];
+        auto stored =
+            registry.find(loc.provider)->raw_store().get("data", loc.object_name);
+        ASSERT_TRUE(stored.is_ok()) << path << " slot " << i;
+        EXPECT_EQ(stored.value().size(), w.meta.shard_size) << path;
+        EXPECT_EQ(w.meta.fragment_crcs[i], common::crc32c(stored.value()))
+            << path << " slot " << i;
+      }
+    }
+  }
 }
 
 }  // namespace
