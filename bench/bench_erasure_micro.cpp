@@ -1,6 +1,6 @@
 // Microbenchmarks for the erasure-coding substrate: GF(2^8) region
-// kernels, Reed–Solomon encode/decode across geometries, RAID5 XOR and
-// delta-parity, checksum kernels, and whole-object striping throughput.
+// kernels, Reed–Solomon encode/decode across geometries (RAID5 is RS(k, 1)),
+// checksum kernels, and whole-object striping throughput.
 //
 // Supports `--json` (machine-readable results on stdout) and
 // `--json=FILE` (write FILE, keep the console table) on top of the usual
@@ -16,7 +16,6 @@
 #include "common/rng.h"
 #include "erasure/fmsr.h"
 #include "erasure/gf256.h"
-#include "erasure/raid5.h"
 #include "erasure/reed_solomon.h"
 #include "erasure/striper.h"
 
@@ -124,32 +123,6 @@ void BM_RsReconstructWorstCase(benchmark::State& state) {
                           static_cast<std::int64_t>(m * 256 * 1024));
 }
 BENCHMARK(BM_RsReconstructWorstCase)->Args({3, 1})->Args({4, 2})->Args({8, 4});
-
-void BM_Raid5Encode(benchmark::State& state) {
-  erasure::Raid5 raid(3);
-  const auto shards = make_shards(3, static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    auto parity = raid.encode(shards);
-    benchmark::DoNotOptimize(parity);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 3 *
-                          state.range(0));
-}
-BENCHMARK(BM_Raid5Encode)->Range(4 << 10, 4 << 20);
-
-void BM_Raid5DeltaParity(benchmark::State& state) {
-  const std::size_t size = static_cast<std::size_t>(state.range(0));
-  const auto old_parity = common::patterned(size, 1);
-  const auto old_data = common::patterned(size, 2);
-  const auto new_data = common::patterned(size, 3);
-  for (auto _ : state) {
-    auto parity = erasure::Raid5::delta_parity(old_parity, old_data, new_data);
-    benchmark::DoNotOptimize(parity);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(size));
-}
-BENCHMARK(BM_Raid5DeltaParity)->Range(4 << 10, 1 << 20);
 
 void BM_StriperEncode(benchmark::State& state) {
   erasure::Striper striper({.k = 3, .m = 1});

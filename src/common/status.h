@@ -23,7 +23,7 @@ enum class StatusCode {
   kDataLoss,        // too many fragments missing to reconstruct
   kFailedPrecondition,
   kInternal,
-  kCancelled,       // op abandoned by the client (straggler past early ack)
+  kCancelled,       // op abandoned by the client (straggler past first-k)
   kResourceExhausted,  // provider over capacity; request throttled (429)
 };
 

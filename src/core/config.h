@@ -49,15 +49,10 @@ struct HyRDConfig {
   const char* probe_container = "hyrd-probe";
 
   // --- Completion-ordered I/O engine knobs (gcsapi/async_batch.h) ---
-  // Defaults reproduce the synchronous wait-for-all semantics exactly;
-  // the aggressive settings trade extra requests / background completion
-  // for tail latency, as quantified in EXPERIMENTS.md.
-
-  /// Ack policy for replicated and erasure writes/removes. kAll completes
-  /// at the slowest target; early-ack policies report at the first durable
-  /// replica (or stripe) while the rest land in the background of the same
-  /// call, reconciled through the UpdateLog.
-  gcs::AckPolicy write_ack = gcs::AckPolicy::kAll;
+  // Reads only: every write, update, remove and metadata persist waits for
+  // all its targets. The erasure default reproduces the paper's cost
+  // model; kFastestK trades extra requests for tail latency, as
+  // quantified in EXPERIMENTS.md.
 
   /// Erasure read strategy: kPreferredK bills exactly k GETs per normal
   /// read (the paper's cost model); kFastestK requests all reachable

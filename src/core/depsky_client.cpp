@@ -39,7 +39,7 @@ dist::WriteResult DepSkyClient::write_object(
     std::vector<std::string>& unreachable) {
   dist::WriteResult result;
 
-  // DepSky's quorum write is the engine's kQuorum ack policy verbatim: a
+  // DepSky's quorum write is the engine's await_quorum verbatim: a
   // write completes at the quorum_-th fastest acknowledgment, and every
   // put still runs to completion so failures are observed and logged.
   gcs::AsyncBatch batch(session_);
@@ -49,7 +49,7 @@ dist::WriteResult DepSkyClient::write_object(
     batch.submit(gcs::CloudOp::put(targets_[i], keys.back(), data));
   }
   gcs::BatchStats stats;
-  auto puts = batch.await_ack(gcs::AckPolicy::kQuorum, &stats, quorum_);
+  auto puts = batch.await_quorum(quorum_, &stats);
 
   if (quorum_missed(stats, quorum_, result)) return result;
   result.latency = stats.latency;
@@ -87,7 +87,7 @@ dist::WriteResult DepSkyClient::update_object(
     locs.push_back(&loc);
   }
   gcs::BatchStats stats;
-  auto puts = batch.await_ack(gcs::AckPolicy::kQuorum, &stats, quorum_);
+  auto puts = batch.await_quorum(quorum_, &stats);
   if (quorum_missed(stats, quorum_, result)) return result;
   result.latency = stats.latency;
   result.status = common::Status::ok();

@@ -19,12 +19,9 @@ HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
       config_(config),
       monitor_(config.large_file_threshold) {
   // Wire the engine knobs through to the schemes. Defaults reproduce the
-  // synchronous wait-for-all semantics; aggressive settings enable
-  // first-k erasure reads, hedged replica reads, and early-ack writes.
-  write_ack_ = config_.write_ack;
-  replication_->set_write_ack(config_.write_ack);
+  // paper's cost model; aggressive settings enable first-k erasure reads
+  // and hedged replica reads.
   replication_->set_hedge(config_.hedge);
-  erasure_->set_write_ack(config_.write_ack);
   erasure_->set_read_strategy(config_.erasure_read_strategy);
 
   (void)session_.ensure_container_everywhere(config_.data_container);

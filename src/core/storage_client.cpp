@@ -384,7 +384,7 @@ dist::WriteResult StorageClientBase::update_object(
 }
 
 dist::RemoveResult StorageClientBase::remove_object(const meta::FileMeta& m) {
-  auto result = dist::remove_fragments(session_, container_, m, write_ack_);
+  auto result = dist::remove_fragments(session_, container_, m);
   log_unreachable(result.unreachable_providers, m, meta::LogAction::kRemove);
   return result;
 }
@@ -421,18 +421,12 @@ common::SimDuration StorageClientBase::replicate_block(
     const std::string& dir, common::ByteSpan block,
     const std::string& container, const std::vector<std::size_t>& targets) {
   const std::string object = meta_block_object_name(dir);
-  // Every put runs to completion whatever the ack policy, so a failure
-  // behind an early ack is logged exactly as under wait-for-all.
   gcs::AsyncBatch batch(session_);
   for (std::size_t target : targets) {
     batch.submit(gcs::CloudOp::put(target, {container, object}, block));
   }
   gcs::BatchStats stats;
-  auto completions =
-      write_ack_ == gcs::AckPolicy::kAll
-          ? batch.await_all(&stats)
-          : batch.await_ack(write_ack_, &stats, targets.size() / 2 + 1);
-  for (const auto& c : completions) {
+  for (const auto& c : batch.await_all(&stats)) {
     if (!c.ok()) {
       log_.append(session_.client(targets[c.op_index]).provider_name(),
                   container, meta_block_path(dir), object,

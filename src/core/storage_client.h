@@ -104,10 +104,6 @@ class StorageClient {
                  std::function<void(dist::ReadResult)> done) {
     done(get(path));
   }
-  void remove_async(const std::string& path,
-                    std::function<void(dist::RemoveResult)> done) {
-    done(remove(path));
-  }
 
   /// Client-side metadata lookup (served from the in-memory store; the
   /// paper loads metadata blocks into client memory before file access).
@@ -333,8 +329,8 @@ class StorageClientBase : public StorageClient {
   /// `providers`, for replay when that provider returns.
   void log_unreachable(const std::vector<std::string>& providers,
                        const meta::FileMeta& m, meta::LogAction action);
-  /// Puts `dir`'s serialized block on every target under write_ack_ and
-  /// logs the targets it missed. Returns the ack latency.
+  /// Puts `dir`'s serialized block on every target and logs the targets
+  /// it missed. Returns the slowest target's latency.
   common::SimDuration replicate_block(const std::string& dir,
                                       common::ByteSpan block,
                                       const std::string& container,
@@ -358,8 +354,6 @@ class StorageClientBase : public StorageClient {
   std::optional<dist::ErasureScheme> erasure_;
   dist::RecoveryManager recovery_;
   std::vector<std::size_t> targets_;
-  /// Ack policy of removes and replicate_block.
-  gcs::AckPolicy write_ack_ = gcs::AckPolicy::kAll;
 
  private:
   /// Runs the write tail: upsert_and_log, then persists the directory.

@@ -8,7 +8,6 @@
 #include "common/checksum.h"
 #include "common/copy_meter.h"
 #include "common/virtual_time.h"
-#include "erasure/raid5.h"
 #include "erasure/reed_solomon.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -85,6 +84,33 @@ auto usable_fragment(const meta::FileMeta& meta,
     if (v < 0) v = fragment_intact(meta, op_slot[c.op_index], c.result.data);
     return v == 1;
   };
+}
+
+/// The expensive update path: read the whole object (degraded if need be),
+/// patch `new_bytes` in at `offset` and re-stripe it. `spent` is the
+/// virtual time the update already used before falling back here.
+WriteResult restripe_patched(const ErasureScheme& scheme,
+                             gcs::MultiCloudSession& session,
+                             const meta::FileMeta& meta, std::uint64_t offset,
+                             common::ByteSpan new_bytes,
+                             std::vector<std::string>* unreachable,
+                             common::SimDuration spent) {
+  ReadResult whole = scheme.read(session, meta);
+  if (!whole.status.is_ok()) {
+    WriteResult result;
+    result.status = whole.status;
+    result.latency = spent + whole.latency;
+    return result;
+  }
+  common::Bytes patched = std::move(whole.data).into_bytes();
+  common::count_copied_bytes(new_bytes.size());
+  std::memcpy(patched.data() + offset, new_bytes.data(), new_bytes.size());
+  WriteResult result =
+      scheme.write(session, meta.path, common::Buffer::from(std::move(patched)),
+                   slot_clients(session, meta), unreachable);
+  result.latency += spent + whole.latency;
+  result.meta.version = meta.version + 1;
+  return result;
 }
 
 }  // namespace
@@ -204,15 +230,8 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
                                    fragments[geom.k + p]));
   }
 
-  // kAll acks at the slowest fragment (legacy max). Early-ack policies ack
-  // at the first durable *stripe* — the k-th fragment success — while the
-  // remaining fragments still run to completion below (durability and
-  // unreachable-logging are never traded away).
   gcs::BatchStats stats;
-  auto put_completions =
-      write_ack_ == gcs::AckPolicy::kAll
-          ? batch.await_all(&stats)
-          : batch.await_ack(gcs::AckPolicy::kQuorum, &stats, geom.k);
+  auto put_completions = batch.await_all(&stats);
   result.latency = stats.latency;
 
   std::size_t landed = 0;
@@ -438,21 +457,8 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
   if (first_shard != last_shard || first_shard >= geom.k) {
     // Multi-fragment update: read-whole, patch, re-stripe.
     if (rmw_used != nullptr) *rmw_used = false;
-    ReadResult whole = read(session, meta);
-    if (!whole.status.is_ok()) {
-      result.status = whole.status;
-      result.latency = whole.latency;
-      return result;
-    }
-    common::Bytes patched = std::move(whole.data).into_bytes();
-    common::count_copied_bytes(new_bytes.size());
-    std::memcpy(patched.data() + offset, new_bytes.data(), new_bytes.size());
-    std::vector<std::size_t> clients = slot_clients(session, meta);
-    result = write(session, meta.path, common::Buffer::from(std::move(patched)),
-                   clients, unreachable);
-    result.latency += whole.latency;
-    result.meta.version = meta.version + 1;
-    return result;
+    return restripe_patched(*this, session, meta, offset, new_bytes,
+                            unreachable, 0);
   }
 
   if (rmw_used != nullptr) *rmw_used = true;
@@ -481,24 +487,12 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
   result.latency += phase.latency;
   for (const auto& g : gets) {
     if (!g.ok()) {
-      // A needed fragment is unreachable: fall back to a degraded
-      // read + full re-stripe (the expensive path the paper describes).
-      ReadResult whole = read(session, meta);
-      if (!whole.status.is_ok()) {
-        result.status = whole.status;
-        result.latency += whole.latency;
-        return result;
-      }
-      common::Bytes patched = std::move(whole.data).into_bytes();
-      common::count_copied_bytes(new_bytes.size());
-      std::memcpy(patched.data() + offset, new_bytes.data(), new_bytes.size());
-      result = write(session, meta.path,
-                     common::Buffer::from(std::move(patched)), clients,
-                     unreachable);
-      result.latency += whole.latency;
-      result.meta.version = meta.version + 1;
+      // A needed fragment is unreachable: fall back to a degraded read +
+      // full re-stripe (the expensive path the paper describes), charged
+      // after the failed range-read round.
       if (rmw_used != nullptr) *rmw_used = false;
-      return result;
+      return restripe_patched(*this, session, meta, offset, new_bytes,
+                              unreachable, result.latency);
     }
   }
 
@@ -550,7 +544,7 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
 
 RemoveResult ErasureScheme::remove(gcs::MultiCloudSession& session,
                                    const meta::FileMeta& meta) const {
-  return remove_fragments(session, container_, meta, write_ack_);
+  return remove_fragments(session, container_, meta);
 }
 
 common::Result<std::vector<std::pair<std::string, common::Buffer>>>

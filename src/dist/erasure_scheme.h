@@ -45,17 +45,6 @@ class ErasureScheme {
   }
 
   void set_read_strategy(ErasureReadStrategy s) { read_strategy_ = s; }
-  [[nodiscard]] ErasureReadStrategy read_strategy() const {
-    return read_strategy_;
-  }
-
-  /// Write/remove ack policy. kAll (default) keeps the legacy contract:
-  /// latency = slowest fragment. Early-ack policies report at the first
-  /// durable *stripe* (the k-th fragment success) while the remaining
-  /// fragments land in the background of the same call; failures are
-  /// still observed and reported via `unreachable`.
-  void set_write_ack(gcs::AckPolicy ack) { write_ack_ = ack; }
-  [[nodiscard]] gcs::AckPolicy write_ack() const { return write_ack_; }
 
   /// Stripes `data` into k+m fragments and puts fragment i on
   /// shard_clients[i], all in parallel. Requires exactly k+m targets.
@@ -113,7 +102,6 @@ class ErasureScheme {
   erasure::Striper striper_;
   bool outage_aware_;
   ErasureReadStrategy read_strategy_ = ErasureReadStrategy::kPreferredK;
-  gcs::AckPolicy write_ack_ = gcs::AckPolicy::kAll;
 };
 
 }  // namespace hyrd::dist

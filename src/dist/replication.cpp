@@ -11,9 +11,6 @@ namespace hyrd::dist {
 
 namespace {
 
-/// Majority of the intended replica set (DepSky-style quorum rank).
-std::size_t majority(std::size_t n) { return n / 2 + 1; }
-
 obs::Counter& hedge_counter() {
   static obs::Counter c = obs::MetricsRegistry::global().counter("scheme.hedges");
   return c;
@@ -62,11 +59,7 @@ WriteResult ReplicationScheme::write(
       batch.submit(gcs::CloudOp::put(replica_clients[i], keys[i], data));
     }
     gcs::BatchStats stats;
-    auto completions =
-        write_ack_ == gcs::AckPolicy::kAll
-            ? batch.await_all(&stats)
-            : batch.await_ack(write_ack_, &stats,
-                              majority(replica_clients.size()));
+    auto completions = batch.await_all(&stats);
     result.latency = stats.latency;
     for (auto& c : completions) {
       results.push_back(static_cast<cloud::OpResult&&>(std::move(c.result)));
@@ -170,7 +163,6 @@ std::vector<ReplicationScheme::GroupWriteResult> ReplicationScheme::write_many(
     per_item[item][rep] = {c.ok(), c.arrival};
   }
 
-  const std::size_t quorum = majority(replicas);
   for (std::size_t i = 0; i < items.size(); ++i) {
     auto& o = out[i];
     meta::FileMeta m;
@@ -180,7 +172,6 @@ std::vector<ReplicationScheme::GroupWriteResult> ReplicationScheme::write_many(
     m.crc = common::crc32c(items[i].data);
 
     std::size_t landed = 0;
-    std::vector<common::SimDuration> success_arrivals;
     common::SimDuration all_arrival = 0;
     for (std::size_t r = 0; r < replicas; ++r) {
       const std::string& provider =
@@ -188,31 +179,16 @@ std::vector<ReplicationScheme::GroupWriteResult> ReplicationScheme::write_many(
       all_arrival = std::max(all_arrival, per_item[i][r].arrival);
       if (per_item[i][r].ok) {
         ++landed;
-        success_arrivals.push_back(per_item[i][r].arrival);
       } else {
         o.unreachable.push_back(provider);
       }
       m.locations.push_back({provider, keys[i][r].name});
     }
+    // Per-entry latency is its own slowest replica, mirroring write().
+    o.result.latency = all_arrival;
     if (landed == 0) {
       o.result.status = common::unavailable("no replica target reachable");
-      o.result.latency = all_arrival;
       continue;
-    }
-    // Per-entry ack latency over its own completions, mirroring write().
-    std::sort(success_arrivals.begin(), success_arrivals.end());
-    switch (write_ack_) {
-      case gcs::AckPolicy::kFirstSuccess:
-        o.result.latency = success_arrivals.front();
-        break;
-      case gcs::AckPolicy::kQuorum:
-        o.result.latency = landed >= quorum ? success_arrivals[quorum - 1]
-                                            : success_arrivals.back();
-        break;
-      case gcs::AckPolicy::kAll:
-      default:
-        o.result.latency = all_arrival;
-        break;
     }
     o.result.status = common::Status::ok();
     o.result.meta = std::move(m);
@@ -426,10 +402,7 @@ WriteResult ReplicationScheme::update_range(
           targets[i], {container_, locs[i]->object_name}, offset, data));
     }
     gcs::BatchStats stats;
-    auto completions =
-        write_ack_ == gcs::AckPolicy::kAll
-            ? batch.await_all(&stats)
-            : batch.await_ack(write_ack_, &stats, majority(targets.size()));
+    auto completions = batch.await_all(&stats);
     result.latency = stats.latency;
     for (auto& c : completions) {
       results.push_back(static_cast<cloud::OpResult&&>(std::move(c.result)));
@@ -469,7 +442,7 @@ WriteResult ReplicationScheme::update_range(
 
 RemoveResult ReplicationScheme::remove(gcs::MultiCloudSession& session,
                                        const meta::FileMeta& meta) const {
-  return remove_fragments(session, container_, meta, write_ack_);
+  return remove_fragments(session, container_, meta);
 }
 
 }  // namespace hyrd::dist

@@ -44,18 +44,9 @@ class ReplicationScheme {
       : container_(std::move(container)), mode_(mode) {}
 
   [[nodiscard]] const std::string& container() const { return container_; }
-  [[nodiscard]] ReplicaWriteMode write_mode() const { return mode_; }
 
   void set_hedge(HedgePolicy policy) { hedge_ = policy; }
   [[nodiscard]] const HedgePolicy& hedge() const { return hedge_; }
-
-  /// Write/remove ack policy (parallel mode only; sequential writes are a
-  /// confirmation chain and always ack at the end). kAll keeps the legacy
-  /// contract: latency = slowest replica. kFirstSuccess acks at the first
-  /// durable copy while the rest land in the background of the same call;
-  /// kQuorum at the majority. Failures are still observed and reported.
-  void set_write_ack(gcs::AckPolicy ack) { write_ack_ = ack; }
-  [[nodiscard]] gcs::AckPolicy write_ack() const { return write_ack_; }
 
   /// Writes one replica to each client in `replica_clients` concurrently.
   /// Succeeds if at least one replica lands (the paper's availability model:
@@ -94,11 +85,11 @@ class ReplicationScheme {
   /// virtual time the whole group overlaps into a single fan-out round
   /// (the client write-back cache's flush path). Per-entry semantics
   /// mirror write(): an entry succeeds if at least one of its replicas
-  /// landed, its latency honors the configured AckPolicy over its own
-  /// completions, and its unreachable providers are reported for
-  /// update-log accounting. `batch_latency` (if non-null) receives the
-  /// whole batch's completion time. Parallel mode only; sequential
-  /// (DuraCloud-style confirmation chains) falls back to per-item write().
+  /// landed, its latency is its own slowest replica, and its unreachable
+  /// providers are reported for update-log accounting. `batch_latency`
+  /// (if non-null) receives the whole batch's completion time. Parallel
+  /// mode only; sequential (DuraCloud-style confirmation chains) falls back
+  /// to per-item write().
   std::vector<GroupWriteResult> write_many(
       gcs::MultiCloudSession& session, std::vector<GroupWrite> items,
       const std::vector<std::size_t>& replica_clients,
@@ -128,7 +119,6 @@ class ReplicationScheme {
   std::string container_;
   ReplicaWriteMode mode_;
   HedgePolicy hedge_;
-  gcs::AckPolicy write_ack_ = gcs::AckPolicy::kAll;
 };
 
 }  // namespace hyrd::dist

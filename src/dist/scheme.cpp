@@ -36,8 +36,7 @@ std::vector<std::size_t> order_by_expected_read_latency(
 
 RemoveResult remove_fragments(gcs::MultiCloudSession& session,
                               const std::string& container,
-                              const meta::FileMeta& meta,
-                              gcs::AckPolicy ack) {
+                              const meta::FileMeta& meta) {
   RemoveResult result;
   gcs::AsyncBatch batch(session);
   std::vector<const std::string*> providers;  // op_index -> provider name
@@ -52,25 +51,9 @@ RemoveResult remove_fragments(gcs::MultiCloudSession& session,
   }
 
   gcs::BatchStats stats;
-  if (ack == gcs::AckPolicy::kAll) {
-    auto completions = batch.await_all(&stats);
-    for (const auto& c : completions) {
-      if (!c.ok() &&
-          c.result.status.code() == common::StatusCode::kUnavailable) {
-        result.unreachable_providers.push_back(*providers[c.op_index]);
-      }
-    }
-  } else {
-    const std::size_t need =
-        ack == gcs::AckPolicy::kFirstSuccess ? 1 : providers.size() / 2 + 1;
-    auto completions = batch.await_first(need, &stats);
-    for (const auto& c : completions) {
-      // Anything short of a confirmed remove must be replayed on resync.
-      // kNotFound means the fragment is already gone — nothing to replay.
-      if (!c.ok() &&
-          c.result.status.code() != common::StatusCode::kNotFound) {
-        result.unreachable_providers.push_back(*providers[c.op_index]);
-      }
+  for (const auto& c : batch.await_all(&stats)) {
+    if (!c.ok() && c.result.status.code() == common::StatusCode::kUnavailable) {
+      result.unreachable_providers.push_back(*providers[c.op_index]);
     }
   }
   result.latency = stats.latency;

@@ -61,22 +61,12 @@ std::vector<std::size_t> order_by_expected_read_latency(
     const std::vector<std::size_t>& clients, std::uint64_t size);
 
 /// Shared remove core for both schemes: issues one remove per fragment
-/// location concurrently through the async engine.
-///
-///   kAll          wait for every remove; latency = max; only kUnavailable
-///                 failures are reported unreachable (the legacy contract).
-///   kFirstSuccess ack at the first confirmed remove, cancel the rest.
-///   kQuorum       ack at the majority of reachable targets.
-///
-/// Under early ack, *every* location whose remove did not confirm success —
-/// failed, cancelled mid-flight, or never dispatched — is reported in
-/// unreachable_providers so the caller's UpdateLog replays it after the
-/// outage (removes are idempotent; a kNotFound on resync is fine). Without
-/// this, a fragment whose remove was torn down after the ack would survive
-/// as an orphan forever.
+/// location concurrently through the async engine and waits for every one;
+/// latency = max. Locations whose remove failed kUnavailable (or whose
+/// provider is not in the session) are reported in unreachable_providers
+/// so the caller's UpdateLog replays them after the outage.
 RemoveResult remove_fragments(gcs::MultiCloudSession& session,
                               const std::string& container,
-                              const meta::FileMeta& meta,
-                              gcs::AckPolicy ack = gcs::AckPolicy::kAll);
+                              const meta::FileMeta& meta);
 
 }  // namespace hyrd::dist

@@ -2,8 +2,8 @@
 //
 // RS(k, m): k data shards + m parity shards; any k of the k+m shards
 // reconstruct the original data. RAID5 (the paper's case study) is the
-// special case m = 1, for which hyrd::erasure::Raid5 provides a dedicated
-// XOR fast path; this class handles arbitrary geometries.
+// special case m = 1: Matrix::rs_generator gives it an all-ones parity row,
+// so its parity is the plain XOR of the data shards.
 #pragma once
 
 #include <cstdint>

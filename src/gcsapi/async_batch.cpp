@@ -284,9 +284,8 @@ std::vector<CloudCompletion> AsyncBatch::await_first(std::size_t need,
   return snapshot_locked();
 }
 
-std::vector<CloudCompletion> AsyncBatch::await_ack(AckPolicy policy,
-                                                   BatchStats* stats,
-                                                   std::size_t quorum) {
+std::vector<CloudCompletion> AsyncBatch::await_quorum(std::size_t quorum,
+                                                      BatchStats* stats) {
   // Writes are never torn down: every replica/fragment must land (or fail
   // and be logged) regardless of when the caller is acked.
   std::unique_lock lock(mu_);
@@ -301,14 +300,9 @@ std::vector<CloudCompletion> AsyncBatch::await_ack(AckPolicy policy,
       successes.push_back(rec.completion.arrival);
     }
   }
-  std::size_t need = 0;
-  switch (policy) {
-    case AckPolicy::kAll: need = 0; break;  // 0 = max semantics
-    case AckPolicy::kFirstSuccess: need = 1; break;
-    case AckPolicy::kQuorum: need = std::max<std::size_t>(quorum, 1); break;
-  }
+  const std::size_t need = std::max<std::size_t>(quorum, 1);
   common::SimDuration latency = max_arrival;
-  if (need > 0 && successes.size() >= need) {
+  if (successes.size() >= need) {
     std::nth_element(successes.begin(), successes.begin() + (need - 1),
                      successes.end());
     latency = successes[need - 1];

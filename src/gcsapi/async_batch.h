@@ -3,10 +3,9 @@
 // A blocking fan-out's virtual latency is the max over every member —
 // correct for "wait for all", but a redundancy scheme rarely needs all:
 // RS(k,m) reads need the fastest k shards, a replicated read needs one
-// good replica, and an early-ack write needs the first (or quorum-th)
-// durable copy. AsyncBatch submits each op to the session pool
-// individually and lets the caller aggregate by *order statistic* as well
-// as by max:
+// good replica, and a quorum write (DepSky) needs the quorum-th durable
+// copy. AsyncBatch submits each op to the session pool individually and
+// lets the caller aggregate by *order statistic* as well as by max:
 //
 //   arrival(op) = op.start_offset + result.latency      (virtual time)
 //
@@ -15,9 +14,9 @@
 //   await_first  completes once `need` usable ops landed, cancels the
 //                stragglers still unresolved after a real-time grace
 //                period, latency = need-th smallest usable arrival
-//   await_ack    write-side: every op still runs to real completion
+//   await_quorum write-side: every op still runs to real completion
 //                (durability + failure logging preserved); only the *ack*
-//                latency is the order statistic chosen by AckPolicy
+//                latency is the quorum-th successful arrival
 //
 // `start_offset` is the op's virtual submit time relative to the batch
 // epoch. Late submissions model sequential failover and phase-2 repair
@@ -65,13 +64,6 @@
 namespace hyrd::gcs {
 
 class MultiCloudSession;
-
-/// When a multi-target write reports completion to its caller.
-enum class AckPolicy {
-  kAll,           // ack at the slowest target (legacy max; default)
-  kFirstSuccess,  // ack at the first durable copy; rest land in background
-  kQuorum,        // ack at the quorum-th durable copy (DepSky-style)
-};
 
 /// One operation in a batch. Build with the static factories.
 struct CloudOp {
@@ -204,12 +196,11 @@ class AsyncBatch {
                                            UsableFn usable = {});
 
   /// Write-side aggregation: every op runs to real completion (durability
-  /// and failure logging are never sacrificed); only the *ack* latency is
-  /// the policy's order statistic over successful arrivals. kQuorum uses
-  /// `quorum` as the rank; kAll is await_all.
-  std::vector<CloudCompletion> await_ack(AckPolicy policy,
-                                         BatchStats* stats = nullptr,
-                                         std::size_t quorum = 0);
+  /// and failure logging are never sacrificed) and none is cancelled; only
+  /// the *ack* latency is an order statistic: the `quorum`-th smallest
+  /// successful arrival, or await_all's max when fewer succeeded.
+  std::vector<CloudCompletion> await_quorum(std::size_t quorum,
+                                            BatchStats* stats = nullptr);
 
  private:
   struct OpRec {

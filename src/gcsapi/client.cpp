@@ -1,6 +1,5 @@
 #include "gcsapi/client.h"
 
-#include <algorithm>
 #include <cassert>
 #include <optional>
 
@@ -104,8 +103,6 @@ ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
         .arg("backoff_ns", static_cast<long long>(backoff_total));
     obs::emit(std::move(span));
   }
-
-  record_trace(op, key, result, attempt);
   return result;
 }
 
@@ -159,52 +156,6 @@ cloud::OpResult CloudClient::ensure_container(const std::string& container) {
     r.status = common::Status::ok();
   }
   return r;
-}
-
-std::vector<OpTraceEntry> CloudClient::recent_ops() const {
-  std::lock_guard lock(trace_mu_);
-  std::vector<OpTraceEntry> out;
-  out.reserve(trace_.size());
-  for (std::size_t i = 0; i < trace_.size(); ++i) {
-    out.push_back(trace_[(trace_head_ + i) % trace_.size()]);
-  }
-  return out;
-}
-
-void CloudClient::set_trace_capacity(std::size_t n) {
-  std::lock_guard lock(trace_mu_);
-  // Unroll to oldest-first, keep the newest n.
-  std::rotate(trace_.begin(),
-              trace_.begin() + static_cast<std::ptrdiff_t>(trace_head_),
-              trace_.end());
-  if (trace_.size() > n) {
-    trace_.erase(trace_.begin(),
-                 trace_.end() - static_cast<std::ptrdiff_t>(n));
-  }
-  trace_head_ = 0;
-  trace_capacity_ = n;
-}
-
-void CloudClient::record_trace(cloud::OpKind op, const cloud::ObjectKey& key,
-                               const cloud::OpResult& result, int attempts) {
-  std::lock_guard lock(trace_mu_);
-  if (trace_capacity_ == 0) return;
-  OpTraceEntry* e;
-  if (trace_.size() < trace_capacity_) {
-    e = &trace_.emplace_back();
-  } else {
-    e = &trace_[trace_head_];  // overwrite the oldest
-    trace_head_ = (trace_head_ + 1) % trace_.size();
-  }
-  e->provider.assign(provider_->name());
-  e->op = op;
-  e->key.assign(key.container);
-  e->key += '/';
-  e->key += key.name;
-  e->bytes = result.bytes_transferred;
-  e->latency = result.latency;
-  e->status = result.status.code();
-  e->attempts = attempts;
 }
 
 }  // namespace hyrd::gcs

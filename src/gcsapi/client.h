@@ -9,25 +9,12 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "cloud/provider.h"
 #include "gcsapi/retry.h"
 
 namespace hyrd::gcs {
-
-/// One completed middleware operation (for audits and debugging).
-struct OpTraceEntry {
-  std::string provider;
-  cloud::OpKind op;
-  std::string key;
-  std::uint64_t bytes = 0;
-  common::SimDuration latency = 0;
-  common::StatusCode status = common::StatusCode::kOk;
-  int attempts = 1;
-};
 
 class CloudClient {
  public:
@@ -60,29 +47,16 @@ class CloudClient {
   /// Creates the container if it does not exist yet (idempotent setup).
   cloud::OpResult ensure_container(const std::string& container);
 
-  /// Most recent operations, oldest first (bounded ring).
-  [[nodiscard]] std::vector<OpTraceEntry> recent_ops() const;
-  void set_trace_capacity(std::size_t n);
-
  private:
   /// Executes `exec` with retries. The payload travels by reference, so
   /// this middleware hop copies zero payload bytes. The returned result
-  /// carries total latency.
+  /// carries total latency; a `cloud` trace span records the op kind,
+  /// provider, attempts, status and bytes when tracing is active.
   template <typename ResultT, typename ExecFn>
   ResultT run(cloud::OpKind op, const cloud::ObjectKey& key, ExecFn&& exec);
 
-  void record_trace(cloud::OpKind op, const cloud::ObjectKey& key,
-                    const cloud::OpResult& result, int attempts);
-
   cloud::SimProvider* provider_;
   RetryPolicy policy_;
-  mutable std::mutex trace_mu_;
-  // Circular buffer: once full, each record overwrites the oldest entry
-  // in place, reusing its strings' storage, so tracing allocates nothing
-  // in steady state. trace_head_ is the oldest entry when full.
-  std::vector<OpTraceEntry> trace_;
-  std::size_t trace_head_ = 0;
-  std::size_t trace_capacity_ = 256;
 };
 
 }  // namespace hyrd::gcs

@@ -4,6 +4,7 @@
 
 #include "cloud/profiles.h"
 #include "core/duracloud_client.h"
+#include "support/cloud_spans.h"
 
 namespace hyrd::core {
 namespace {
@@ -118,13 +119,14 @@ TEST_F(DepSkyTest, FailedQuorumUpdateChargesTheWaitLikeAFailedWrite) {
   registry_.find("Rackspace")->set_online(false);
   registry_.find("AmazonS3")->set_online(false);
   // Every put runs to completion, so a failed quorum op costs the slowest
-  // reply: the newest trace entry across the four clouds.
+  // reply: the longest cloud span the op emitted, one per cloud.
+  test::CloudSpanCapture capture;
   const auto waited = [&] {
+    const auto spans = capture.spans();
+    EXPECT_EQ(spans.size(), session_->client_count());
     common::SimDuration slowest = 0;
-    for (std::size_t i = 0; i < session_->client_count(); ++i) {
-      slowest = std::max(slowest,
-                         session_->client(i).recent_ops().back().latency);
-    }
+    for (const auto& s : spans) slowest = std::max(slowest, s.dur);
+    capture.clear();
     return slowest;
   };
   auto w = client_->put("/g", common::patterned(10000, 14));

@@ -193,6 +193,69 @@ TEST_F(ErasureSchemeTest, UpdateDuringOutageStillLandsViaDegradedPath) {
   EXPECT_EQ(r.data, expected);
 }
 
+// A twin fleet replays an update's rounds one by one: same seed and same
+// op sequence, so every provider draws the same latencies in both.
+struct StripeFleet {
+  explicit StripeFleet(std::uint64_t seed) {
+    cloud::install_standard_four(registry, seed);
+    session = std::make_unique<gcs::MultiCloudSession>(registry);
+    session->ensure_container_everywhere("data");
+    slots = {session->index_of("Rackspace"), session->index_of("Aliyun"),
+             session->index_of("WindowsAzure"), session->index_of("AmazonS3")};
+  }
+
+  cloud::CloudRegistry registry;
+  std::unique_ptr<gcs::MultiCloudSession> session;
+  ErasureScheme scheme{"data", {.k = 3, .m = 1}};
+  std::vector<std::size_t> slots;
+};
+
+TEST(ErasureSchemeUpdateTest, FallbackChargesTheFailedRangeReadRound) {
+  // The parity holder is offline, so the RMW range-read round fails and
+  // the update falls back to a whole read and a re-stripe. The update
+  // costs all three rounds, the failed one included.
+  const auto data = common::patterned(2 << 20, 21);
+  const auto patch = common::patterned(100, 22);
+  constexpr std::uint64_t kOffset = 10;
+  StripeFleet updated(197);
+  StripeFleet twin(197);
+  std::vector<meta::FileMeta> metas;
+  for (StripeFleet* f : {&updated, &twin}) {
+    auto w = f->scheme.write(*f->session, "/big", data, f->slots);
+    ASSERT_TRUE(w.status.is_ok());
+    metas.push_back(w.meta);
+    f->registry.find("AmazonS3")->set_online(false);  // holds the parity
+  }
+
+  bool rmw = true;
+  auto u = updated.scheme.update_range(*updated.session, metas[0], kOffset,
+                                       patch, &rmw);
+  ASSERT_TRUE(u.status.is_ok());
+  EXPECT_FALSE(rmw);
+
+  // The twin: the range reads of data slot 0 and the parity slot...
+  const meta::FileMeta& meta = metas[1];
+  gcs::AsyncBatch reads(*twin.session);
+  for (std::size_t slot : {0u, 3u}) {
+    reads.submit(gcs::CloudOp::get_range(
+        twin.slots[slot], {"data", meta.locations[slot].object_name}, kOffset,
+        patch.size()));
+  }
+  gcs::BatchStats round;
+  reads.await_all(&round);
+  EXPECT_EQ(round.succeeded, 1u);
+  EXPECT_GT(round.latency, 0);
+  // ...then the whole read and the re-stripe of the patched object.
+  auto whole = twin.scheme.read(*twin.session, meta);
+  ASSERT_TRUE(whole.status.is_ok());
+  common::Bytes patched = data;
+  std::copy(patch.begin(), patch.end(), patched.begin() + kOffset);
+  auto restripe = twin.scheme.write(*twin.session, meta.path, patched,
+                                    twin.slots);
+  ASSERT_TRUE(restripe.status.is_ok());
+  EXPECT_EQ(u.latency, round.latency + whole.latency + restripe.latency);
+}
+
 TEST_F(ErasureSchemeTest, RemoveDeletesAllFragments) {
   auto w = scheme_.write(*session_, "/f", common::patterned(100, 14), slots_);
   auto rm = scheme_.remove(*session_, w.meta);

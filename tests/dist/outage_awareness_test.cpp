@@ -4,12 +4,7 @@
 // data fragments first and pays a second round for parity.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <thread>
-
-#include "cloud/cancel.h"
 #include "cloud/profiles.h"
-#include "core/hyrd_client.h"
 #include "dist/erasure_scheme.h"
 
 namespace hyrd::dist {
@@ -101,109 +96,23 @@ TEST_F(OutageAwarenessTest, NoOutageIdenticalBehaviour) {
   EXPECT_EQ(a.data, b.data);
 }
 
-// --- Early-ack remove plumbing (regression tests) ---
-//
-// A remove that acks at the first confirmed deletion leaves the rest of
-// the fragment set completing — or torn down — in the background. Every
-// remove that was not positively confirmed (offline target, straggler
-// cancelled after the early ack) MUST surface in unreachable_providers,
-// or the client never logs it and the fragment survives resync forever.
-
-TEST_F(OutageAwarenessTest, EarlyAckRemoveRecordsOfflineProvider) {
+TEST_F(OutageAwarenessTest, RemoveRecordsOfflineProvider) {
+  // A remove waits for every fragment: the offline target's remove fails
+  // and must surface in unreachable_providers, or the client never logs
+  // it and the fragment survives resync forever. Every other fragment is
+  // gone.
   const auto data = common::patterned(2 << 20, 6);
-  aware_.set_write_ack(gcs::AckPolicy::kFirstSuccess);
   auto w = aware_.write(*session_, "/f", data, slots_);
   ASSERT_TRUE(w.status.is_ok());
   registry_.find("Aliyun")->set_online(false);
 
   auto r = aware_.remove(*session_, w.meta);
   ASSERT_TRUE(r.status.is_ok());
-  const auto unreachable = [&](const std::string& p) {
-    return std::find(r.unreachable_providers.begin(),
-                     r.unreachable_providers.end(),
-                     p) != r.unreachable_providers.end();
-  };
-  EXPECT_TRUE(unreachable("Aliyun"));
-  // Every fragment is either gone or in the replay set — the offline
-  // target always, plus any straggler the early ack tore down before it
-  // resolved (real-clock scheduling decides if there are any). Nothing
-  // may fall through the crack of being neither removed nor recorded.
+  EXPECT_EQ(r.unreachable_providers, std::vector<std::string>{"Aliyun"});
   EXPECT_EQ(registry_.find("Aliyun")->object_count(), 1u);
   for (const char* p : {"Rackspace", "WindowsAzure", "AmazonS3"}) {
-    if (!unreachable(p)) {
-      EXPECT_EQ(registry_.find(p)->object_count(), 0u) << p;
-    } else {
-      EXPECT_EQ(registry_.find(p)->object_count(), 1u) << p;
-    }
+    EXPECT_EQ(registry_.find(p)->object_count(), 0u) << p;
   }
-}
-
-TEST_F(OutageAwarenessTest, EarlyAckRemoveRecordsCancelledStraggler) {
-  // One provider accepts the remove and then wedges. The early ack fires
-  // on the first confirmed deletion, the straggler is torn down — and the
-  // undelivered remove must be reported so the update log replays it.
-  const auto data = common::patterned(2 << 20, 7);
-  aware_.set_write_ack(gcs::AckPolicy::kFirstSuccess);
-  auto w = aware_.write(*session_, "/f", data, slots_);
-  ASSERT_TRUE(w.status.is_ok());
-
-  auto* wedged = registry_.find("WindowsAzure");
-  wedged->set_op_hook([](cloud::OpKind op, const cloud::ObjectKey&) {
-    if (op != cloud::OpKind::kRemove) return;
-    while (!cloud::CancelScope::cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  auto r = aware_.remove(*session_, w.meta);
-  wedged->set_op_hook(nullptr);
-
-  ASSERT_TRUE(r.status.is_ok());
-  // The wedged provider is always in the replay set; other stragglers may
-  // join it depending on real-clock scheduling (a remove that had not yet
-  // resolved when the ack fired is torn down too, and must equally be
-  // recorded).
-  EXPECT_TRUE(std::find(r.unreachable_providers.begin(),
-                        r.unreachable_providers.end(),
-                        "WindowsAzure") != r.unreachable_providers.end());
-  // The wedged remove never committed: the fragment is still there, which
-  // is exactly why it must be in the replay set. The provider counts one
-  // mid-flight cancellation — or none, if the teardown won the race and
-  // the request never dispatched at all.
-  EXPECT_EQ(wedged->object_count(), 1u);
-  EXPECT_EQ(wedged->counters().removes, 0u);
-  EXPECT_LE(wedged->counters().cancelled, 1u);
-}
-
-TEST_F(OutageAwarenessTest, EarlyAckRemoveReplaysThroughUpdateLog) {
-  // End to end: a HyRD client on first-success acks removes a file while
-  // one replica holder is down; the missed remove must flow through the
-  // update log and be replayed when the provider comes back.
-  core::HyRDConfig config;
-  config.write_ack = gcs::AckPolicy::kFirstSuccess;
-  core::HyRDClient client(*session_, config);
-
-  const auto data = common::patterned(64 * 1024, 8);  // small => replicated
-  auto w = client.put("/dir/f", data);
-  ASSERT_TRUE(w.status.is_ok());
-  ASSERT_EQ(w.meta.locations.size(), 2u);
-
-  const std::string down = w.meta.locations[0].provider;
-  const std::string object = w.meta.locations[0].object_name;
-  auto* provider = registry_.find(down);
-  provider->set_online(false);
-
-  auto r = client.remove("/dir/f");
-  ASSERT_TRUE(r.status.is_ok());
-  EXPECT_TRUE(std::find(r.unreachable_providers.begin(),
-                        r.unreachable_providers.end(),
-                        down) != r.unreachable_providers.end());
-  // The fragment survived on the offline provider...
-  EXPECT_TRUE(provider->raw_store().get("hyrd-data", object).is_ok());
-
-  // ...until the outage ends and the update log is replayed.
-  provider->set_online(true);
-  client.on_provider_restored(down);
-  EXPECT_FALSE(provider->raw_store().get("hyrd-data", object).is_ok());
 }
 
 }  // namespace

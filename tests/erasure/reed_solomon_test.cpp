@@ -101,6 +101,32 @@ TEST(ReedSolomon, ParityDeltaMatchesReencode) {
   EXPECT_EQ(patched, expected.value());
 }
 
+TEST(ReedSolomon, SingleParityIsXorOfData) {
+  // RAID5 (the paper's case study) runs as RS(k, 1): the all-ones parity
+  // row makes the parity the XOR of the data shards, and the RAID5
+  // small-update delta old ^ new.
+  for (std::size_t k : {2u, 3u, 5u}) {
+    ReedSolomon rs(k, 1);
+    auto data = make_shards(k, 48, 10 * k);
+    auto parity = rs.encode(data);
+    ASSERT_TRUE(parity.is_ok());
+    ASSERT_EQ(parity.value().size(), 1u);
+    common::Bytes x(48, 0);
+    for (const auto& d : data) {
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] ^= d[i];
+    }
+    EXPECT_EQ(parity.value()[0], x) << "k=" << k;
+
+    const common::Bytes new_shard = common::patterned(48, 999);
+    auto deltas = rs.parity_delta(k - 1, data[k - 1], new_shard);
+    ASSERT_TRUE(deltas.is_ok());
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(deltas.value()[0][i], data[k - 1][i] ^ new_shard[i])
+          << "k=" << k << " byte=" << i;
+    }
+  }
+}
+
 TEST(ReedSolomon, ParityDeltaRejectsBadIndex) {
   ReedSolomon rs(3, 1);
   common::Bytes a = common::patterned(8, 0);

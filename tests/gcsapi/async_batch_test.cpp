@@ -102,22 +102,22 @@ TEST_F(AsyncBatchTest, StartOffsetChainReproducesSequentialSum) {
 }
 
 TEST_F(AsyncBatchTest, AckPoliciesAreOrderedByRank) {
-  const auto run = [&](AckPolicy policy, std::size_t quorum) {
+  const auto run = [&](std::size_t quorum) {
     AsyncBatch batch(session_);
     for (std::size_t i = 0; i < 4; ++i) {
-      batch.submit(CloudOp::put(
-          i, {"c", "ack" + std::to_string(static_cast<int>(policy))},
-          common::ByteSpan(payload_)));
+      batch.submit(CloudOp::put(i, {"c", "ack" + std::to_string(quorum)},
+                                common::ByteSpan(payload_)));
     }
     BatchStats stats;
-    auto completions = batch.await_ack(policy, &stats, quorum);
+    auto completions = batch.await_quorum(quorum, &stats);
     EXPECT_EQ(stats.succeeded, 4u);  // every write still lands
+    EXPECT_EQ(stats.cancelled, 0u);
     for (const auto& c : completions) EXPECT_TRUE(c.ok());
     return stats;
   };
-  const auto first = run(AckPolicy::kFirstSuccess, 0);
-  const auto quorum = run(AckPolicy::kQuorum, 3);
-  const auto all = run(AckPolicy::kAll, 0);
+  const auto first = run(1);
+  const auto quorum = run(3);
+  const auto all = run(4);
   // Rank ordering must hold: 1st success <= 3rd success <= slowest.
   EXPECT_LE(first.latency, quorum.latency);
   EXPECT_LE(quorum.latency, all.latency);
@@ -126,10 +126,9 @@ TEST_F(AsyncBatchTest, AckPoliciesAreOrderedByRank) {
 }
 
 TEST_F(AsyncBatchTest, EveryAckPolicyLeavesIdenticalDurableState) {
-  // Early ack must never trade away durability: whatever the policy, all
-  // four replicas exist afterwards and billing saw all four puts.
-  for (const auto policy :
-       {AckPolicy::kAll, AckPolicy::kFirstSuccess, AckPolicy::kQuorum}) {
+  // An early quorum ack must never trade away durability: whatever the
+  // rank, all four replicas exist afterwards and billing saw all four puts.
+  for (const std::size_t quorum : {1u, 3u, 4u}) {
     cloud::CloudRegistry reg;
     cloud::install_standard_four(reg, 77);
     MultiCloudSession session(reg);
@@ -139,7 +138,7 @@ TEST_F(AsyncBatchTest, EveryAckPolicyLeavesIdenticalDurableState) {
       batch.submit(CloudOp::put(i, {"c", "k"}, common::ByteSpan(payload_)));
     }
     BatchStats stats;
-    batch.await_ack(policy, &stats, 3);
+    batch.await_quorum(quorum, &stats);
     for (std::size_t i = 0; i < session.client_count(); ++i) {
       auto got = session.client(i).get({"c", "k"});
       ASSERT_TRUE(got.ok());

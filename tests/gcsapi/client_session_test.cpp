@@ -4,6 +4,7 @@
 #include "gcsapi/client.h"
 #include "gcsapi/async_batch.h"
 #include "gcsapi/session.h"
+#include "support/cloud_spans.h"
 
 namespace hyrd::gcs {
 namespace {
@@ -35,67 +36,31 @@ TEST_F(ClientSessionTest, EnsureContainerIsIdempotent) {
 }
 
 TEST_F(ClientSessionTest, TraceRecordsOps) {
+  test::CloudSpanCapture capture;
   CloudClient client(registry_.find("Aliyun"));
   client.create("c");
   client.put({"c", "k"}, common::bytes_of("x"));
   client.get({"c", "k"});
-  const auto trace = client.recent_ops();
-  ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0].op, cloud::OpKind::kCreate);
-  EXPECT_EQ(trace[1].op, cloud::OpKind::kPut);
-  EXPECT_EQ(trace[1].bytes, 1u);
-  EXPECT_EQ(trace[2].op, cloud::OpKind::kGet);
-  EXPECT_EQ(trace[2].provider, "Aliyun");
-}
-
-TEST_F(ClientSessionTest, TraceCapacityBounded) {
-  CloudClient client(registry_.find("Aliyun"));
-  client.set_trace_capacity(5);
-  client.create("c");
-  for (int i = 0; i < 20; ++i) {
-    client.put({"c", "k" + std::to_string(i)}, common::bytes_of("x"));
-  }
-  EXPECT_EQ(client.recent_ops().size(), 5u);
-}
-
-TEST_F(ClientSessionTest, TraceRingKeepsNewestInOrderAcrossResizes) {
-  // The ring overwrites in place once full; recent_ops() must still read
-  // oldest-first, and resizing must keep the newest entries in order.
-  CloudClient client(registry_.find("Aliyun"));
-  client.create("c");
-  client.set_trace_capacity(4);
-  const auto put = [&](int i) {
-    client.put({"c", "k" + std::to_string(i)}, common::bytes_of("xy"));
-  };
-  const auto keys = [&] {
-    std::vector<std::string> out;
-    for (const auto& e : client.recent_ops()) out.push_back(e.key);
-    return out;
-  };
-  for (int i = 0; i < 11; ++i) put(i);  // wraps the ring twice and a bit
-  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k7", "c/k8", "c/k9", "c/k10"}));
-  EXPECT_EQ(client.recent_ops().back().bytes, 2u);
-  EXPECT_EQ(client.recent_ops().back().provider, "Aliyun");
-
-  client.set_trace_capacity(2);  // shrink: keep the newest two
-  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k9", "c/k10"}));
-  client.set_trace_capacity(3);  // grow: nothing lost, room for one more
-  put(11);
-  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k9", "c/k10", "c/k11"}));
-  put(12);
-  EXPECT_EQ(keys(), (std::vector<std::string>{"c/k10", "c/k11", "c/k12"}));
-
-  client.set_trace_capacity(0);  // tracing off
-  put(13);
-  EXPECT_TRUE(client.recent_ops().empty());
+  const auto spans = capture.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(std::string_view(spans[0].name),
+            cloud::op_kind_name(cloud::OpKind::kCreate));
+  EXPECT_EQ(std::string_view(spans[1].name),
+            cloud::op_kind_name(cloud::OpKind::kPut));
+  EXPECT_EQ(test::span_arg(spans[1], "bytes"), 1);
+  EXPECT_EQ(std::string_view(spans[2].name),
+            cloud::op_kind_name(cloud::OpKind::kGet));
+  EXPECT_EQ(spans[2].detail, "Aliyun");
 }
 
 TEST_F(ClientSessionTest, UnavailableNotRetriedByDefault) {
   registry_.find("Aliyun")->set_online(false);
+  test::CloudSpanCapture capture;
   CloudClient client(registry_.find("Aliyun"));
   auto r = client.get({"c", "k"});
   EXPECT_EQ(r.status.code(), common::StatusCode::kUnavailable);
-  EXPECT_EQ(client.recent_ops().back().attempts, 1);
+  ASSERT_EQ(capture.spans().size(), 1u);
+  EXPECT_EQ(test::span_arg(capture.spans().back(), "attempts"), 1);
 }
 
 TEST_F(ClientSessionTest, UnavailableRetriedWhenPolicyAllows) {
@@ -103,10 +68,12 @@ TEST_F(ClientSessionTest, UnavailableRetriedWhenPolicyAllows) {
   RetryPolicy policy;
   policy.max_attempts = 3;
   policy.retry_unavailable = true;
+  test::CloudSpanCapture capture;
   CloudClient client(registry_.find("Aliyun"), policy);
   auto r = client.get({"c", "k"});
   EXPECT_EQ(r.status.code(), common::StatusCode::kUnavailable);
-  EXPECT_EQ(client.recent_ops().back().attempts, 3);
+  ASSERT_EQ(capture.spans().size(), 1u);
+  EXPECT_EQ(test::span_arg(capture.spans().back(), "attempts"), 3);
 }
 
 TEST_F(ClientSessionTest, RetryBackoffAddsLatency) {

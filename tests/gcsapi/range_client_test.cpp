@@ -5,6 +5,7 @@
 #include "cloud/profiles.h"
 #include "gcsapi/async_batch.h"
 #include "gcsapi/session.h"
+#include "support/cloud_spans.h"
 
 namespace hyrd::gcs {
 namespace {
@@ -39,15 +40,19 @@ TEST_F(RangeClientTest, PutRangeThroughClient) {
 
 TEST_F(RangeClientTest, RangeOpsAppearInTrace) {
   auto& client = session_->client(session_->index_of("Aliyun"));
+  test::CloudSpanCapture capture;
   client.put({"c", "k"}, common::bytes_of("0123456789"));
   client.get_range({"c", "k"}, 0, 4);
   client.put_range({"c", "k"}, 2, common::bytes_of("xy"));
-  const auto trace = client.recent_ops();
-  ASSERT_GE(trace.size(), 3u);
-  EXPECT_EQ(trace[trace.size() - 2].op, cloud::OpKind::kGet);
-  EXPECT_EQ(trace[trace.size() - 2].bytes, 4u);
-  EXPECT_EQ(trace.back().op, cloud::OpKind::kPut);
-  EXPECT_EQ(trace.back().bytes, 2u);
+  const auto spans = capture.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(std::string_view(spans[1].name),
+            cloud::op_kind_name(cloud::OpKind::kGet));
+  EXPECT_EQ(test::span_arg(spans[1], "bytes"), 4);
+  EXPECT_EQ(std::string_view(spans[2].name),
+            cloud::op_kind_name(cloud::OpKind::kPut));
+  EXPECT_EQ(test::span_arg(spans[2], "bytes"), 2);
+  EXPECT_EQ(spans[2].detail, "Aliyun");
 }
 
 TEST_F(RangeClientTest, ParallelGetRangeBatch) {

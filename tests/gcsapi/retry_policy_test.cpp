@@ -11,6 +11,7 @@
 #include "common/virtual_time.h"
 #include "gcsapi/client.h"
 #include "gcsapi/retry.h"
+#include "support/cloud_spans.h"
 
 namespace hyrd::gcs {
 namespace {
@@ -123,11 +124,13 @@ TEST(RetryPolicy, ThrottledOpSucceedsAfterBackoff) {
     ASSERT_TRUE(provider.create("c").status.is_ok());
     CloudClient client(&provider, RetryPolicy::none());
     common::VirtualScope scope({.now = 0, .tenant = 1, .weight = 1.0});
+    test::CloudSpanCapture capture;
     ASSERT_TRUE(client.put({"c", "a"}, common::bytes_of("x")).ok());
     ASSERT_TRUE(client.put({"c", "b"}, common::bytes_of("x")).ok());
     const auto r = client.put({"c", "burst"}, common::bytes_of("x"));
     ASSERT_EQ(r.status.code(), common::StatusCode::kResourceExhausted);
-    EXPECT_EQ(client.recent_ops().back().attempts, 1);
+    ASSERT_EQ(capture.spans().size(), 3u);
+    EXPECT_EQ(test::span_arg(capture.spans().back(), "attempts"), 1);
   }
 
   // With retry: same burst, zero client-visible errors.
@@ -141,11 +144,13 @@ TEST(RetryPolicy, ThrottledOpSucceedsAfterBackoff) {
     policy.retry_throttled = true;
     CloudClient client(&provider, policy);
     common::VirtualScope scope({.now = 0, .tenant = 1, .weight = 1.0});
+    test::CloudSpanCapture capture;
     ASSERT_TRUE(client.put({"c", "a"}, common::bytes_of("x")).ok());
     ASSERT_TRUE(client.put({"c", "b"}, common::bytes_of("x")).ok());
     const auto r = client.put({"c", "burst"}, common::bytes_of("x"));
     EXPECT_TRUE(r.ok()) << r.status.to_string();
-    EXPECT_GT(client.recent_ops().back().attempts, 1);
+    ASSERT_EQ(capture.spans().size(), 3u);
+    EXPECT_GT(test::span_arg(capture.spans().back(), "attempts"), 1);
     // The backoff is charged to the op's virtual latency.
     EXPECT_GE(r.latency, common::from_ms(50.0));
     EXPECT_EQ(provider.object_count(), 3u);

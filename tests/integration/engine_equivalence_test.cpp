@@ -1,5 +1,5 @@
-// Engine equivalence: the aggressive completion-ordered knobs (early-ack
-// writes, first-k erasure reads, hedged replica reads) must be
+// Engine equivalence: the aggressive completion-ordered knobs (first-k
+// erasure reads, hedged replica reads) must be
 // *observably* identical to the default wait-for-all configuration in
 // everything except latency — byte-identical reads, identical durable
 // provider state, identical write-side traffic and billing. The paper's
@@ -30,7 +30,6 @@ struct Fleet {
 
 core::HyRDConfig aggressive_config() {
   core::HyRDConfig c;
-  c.write_ack = gcs::AckPolicy::kFirstSuccess;
   c.erasure_read_strategy = dist::ErasureReadStrategy::kFastestK;
   // Hedge stays at defaults: enabled, but calibrated to fire only under
   // genuine brownouts/stalls, never under baseline jitter.
