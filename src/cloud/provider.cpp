@@ -91,17 +91,6 @@ OpResult SimProvider::unavailable_result() {
   return r;
 }
 
-OpResult SimProvider::cancelled_result() {
-  {
-    std::lock_guard lock(mu_);
-    ++counters_.cancelled;
-  }
-  OpResult r;
-  r.status = common::cancelled(config_.name + ": request torn down by client");
-  r.latency = 0;  // the client stopped waiting; nothing accrues
-  return r;
-}
-
 OpResult SimProvider::create(const std::string& container) {
   if (!online()) return unavailable_result();
   if (op_hook_) op_hook_(OpKind::kCreate, {container, ""});
@@ -113,9 +102,7 @@ OpResult SimProvider::create(const std::string& container) {
 
 OpResult SimProvider::put(const ObjectKey& key, common::Buffer data) {
   if (!online()) return unavailable_result();
-  if (CancelScope::cancelled()) return cancelled_result();
   run_op_hook(OpKind::kPut, key);
-  if (CancelScope::cancelled()) return cancelled_result();
   common::SimDuration wait = 0;
   if (auto throttled = admit(data.size(), &wait)) return *throttled;
   OpResult r;
@@ -136,15 +123,7 @@ GetResult SimProvider::get(const ObjectKey& key) {
     static_cast<OpResult&>(r) = unavailable_result();
     return r;
   }
-  if (CancelScope::cancelled()) {
-    static_cast<OpResult&>(r) = cancelled_result();
-    return r;
-  }
   run_op_hook(OpKind::kGet, key);
-  if (CancelScope::cancelled()) {
-    static_cast<OpResult&>(r) = cancelled_result();
-    return r;
-  }
   auto res = store_.get(key.container, key.name);
   if (res.is_ok()) {
     common::SimDuration wait = 0;
@@ -165,9 +144,7 @@ GetResult SimProvider::get(const ObjectKey& key) {
 
 OpResult SimProvider::remove(const ObjectKey& key) {
   if (!online()) return unavailable_result();
-  if (CancelScope::cancelled()) return cancelled_result();
   run_op_hook(OpKind::kRemove, key);
-  if (CancelScope::cancelled()) return cancelled_result();
   common::SimDuration wait = 0;
   if (auto throttled = admit(0, &wait)) return *throttled;
   OpResult r;
@@ -201,15 +178,7 @@ GetResult SimProvider::get_range(const ObjectKey& key, std::uint64_t offset,
     static_cast<OpResult&>(r) = unavailable_result();
     return r;
   }
-  if (CancelScope::cancelled()) {
-    static_cast<OpResult&>(r) = cancelled_result();
-    return r;
-  }
   run_op_hook(OpKind::kGet, key);
-  if (CancelScope::cancelled()) {
-    static_cast<OpResult&>(r) = cancelled_result();
-    return r;
-  }
   auto res = store_.get_range(key.container, key.name, offset, length);
   if (res.is_ok()) {
     common::SimDuration wait = 0;
@@ -231,9 +200,7 @@ GetResult SimProvider::get_range(const ObjectKey& key, std::uint64_t offset,
 OpResult SimProvider::put_range(const ObjectKey& key, std::uint64_t offset,
                                 common::Buffer data) {
   if (!online()) return unavailable_result();
-  if (CancelScope::cancelled()) return cancelled_result();
   run_op_hook(OpKind::kPut, key);
-  if (CancelScope::cancelled()) return cancelled_result();
   common::SimDuration wait = 0;
   if (auto throttled = admit(data.size(), &wait)) return *throttled;
   OpResult r;

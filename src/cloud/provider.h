@@ -17,7 +17,6 @@
 #include <string>
 
 #include "cloud/billing.h"
-#include "cloud/cancel.h"
 #include "cloud/congestion.h"
 #include "cloud/latency_model.h"
 #include "cloud/memory_store.h"
@@ -44,7 +43,6 @@ struct OpCounters {
   std::uint64_t bytes_read = 0;
   std::uint64_t bytes_written = 0;
   std::uint64_t rejected_unavailable = 0;
-  std::uint64_t cancelled = 0;   // abandoned by the client before commit
   std::uint64_t throttled = 0;   // rejected 429 at the congestion-queue cap
 
   [[nodiscard]] std::uint64_t total_ops() const {
@@ -156,12 +154,6 @@ class SimProvider final : public ObjectStore {
   /// queueing delay (0 when uncontended or congestion is off) to *wait.
   std::optional<OpResult> admit(std::uint64_t bytes,
                                 common::SimDuration* wait);
-
-  /// Result for an op abandoned by the client (see cloud/cancel.h): no
-  /// store mutation, no billing, no latency draw — only the `cancelled`
-  /// counter moves, so cancelled stragglers are visible in audits without
-  /// perturbing cost accounting or the deterministic latency stream.
-  OpResult cancelled_result();
 
   ProviderConfig config_;
   MemoryStore store_;

@@ -14,17 +14,18 @@
 
 namespace hyrd::common {
 
+// Numbered explicitly: trace spans export the integer, so retiring a code
+// must not renumber the ones after it.
 enum class StatusCode {
   kOk = 0,
-  kNotFound,        // object or container does not exist
-  kUnavailable,     // provider in outage
-  kInvalidArgument, // malformed request
-  kAlreadyExists,   // container creation collision
-  kDataLoss,        // too many fragments missing to reconstruct
-  kFailedPrecondition,
-  kInternal,
-  kCancelled,       // op abandoned by the client (straggler past first-k)
-  kResourceExhausted,  // provider over capacity; request throttled (429)
+  kNotFound = 1,        // object or container does not exist
+  kUnavailable = 2,     // provider in outage
+  kInvalidArgument = 3, // malformed request
+  kAlreadyExists = 4,   // container creation collision
+  kDataLoss = 5,        // too many fragments missing to reconstruct
+  kFailedPrecondition = 6,
+  kInternal = 7,
+  kResourceExhausted = 9,  // provider over capacity; request throttled (429)
 };
 
 /// Human-readable code name (stable; used in logs and test assertions).
@@ -38,7 +39,6 @@ constexpr std::string_view status_code_name(StatusCode c) {
     case StatusCode::kDataLoss: return "DATA_LOSS";
     case StatusCode::kFailedPrecondition: return "FAILED_PRECONDITION";
     case StatusCode::kInternal: return "INTERNAL";
-    case StatusCode::kCancelled: return "CANCELLED";
     case StatusCode::kResourceExhausted: return "RESOURCE_EXHAUSTED";
   }
   return "UNKNOWN";
@@ -95,9 +95,6 @@ inline Status failed_precondition(std::string msg) {
 }
 inline Status internal_error(std::string msg) {
   return {StatusCode::kInternal, std::move(msg)};
-}
-inline Status cancelled(std::string msg) {
-  return {StatusCode::kCancelled, std::move(msg)};
 }
 inline Status resource_exhausted(std::string msg) {
   return {StatusCode::kResourceExhausted, std::move(msg)};

@@ -1,8 +1,8 @@
-// Fixed-size thread pool used to issue requests to multiple simulated cloud
-// providers concurrently (the access parallelism HyRD exploits for large
-// files). Latencies themselves are virtual, but running fan-out on real
-// threads exercises the same synchronization structure a networked client
-// would have and keeps big workloads fast.
+// Fixed-size thread pool for client-side CPU work. Provider requests never
+// run here: their latencies are virtual and gcsapi::AsyncBatch issues them
+// on the calling thread. What does run here is the compute a large stripe
+// write needs (parity encode in chunks, fragment CRCs), overlapped with
+// the caller's own fragment uploads.
 #pragma once
 
 #include <condition_variable>

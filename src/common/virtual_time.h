@@ -9,18 +9,14 @@
 // delay, and that requires each op to carry its virtual arrival instant
 // and the identity/weight of the tenant issuing it.
 //
-// The context travels like cloud::CancelScope does: a thread-local scope
-// the event loop installs around a tenant step. gcsapi::AsyncBatch
-// captures the active context at construction; when one is present it
-// (a) executes each submitted op inline on the calling thread instead of
-// bouncing it through the session thread pool — the whole client stack
-// becomes a deterministic, allocation-light state machine step — and
-// (b) re-installs the scope with now advanced by the op's start_offset so
-// failover chains and hedges arrive at the provider at the right instant.
+// The context travels as a thread-local scope the event loop installs
+// around a tenant step. gcsapi::AsyncBatch captures the active context at
+// construction and re-installs it around each op with now advanced by the
+// op's start_offset, so failover chains and hedges arrive at the provider
+// at the right instant.
 //
 // No scope installed (every pre-existing code path) means no behavior
-// change anywhere: providers skip congestion accounting and AsyncBatch
-// keeps its threaded dispatch.
+// change anywhere: providers skip congestion accounting.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +34,7 @@ struct VirtualContext {
 };
 
 /// RAII thread-local installer, nestable (an AsyncBatch re-installs with
-/// an advanced `now` around each inline op).
+/// an advanced `now` around each op).
 class VirtualScope {
  public:
   explicit VirtualScope(VirtualContext ctx) : ctx_(ctx), prev_(current_) {

@@ -90,11 +90,11 @@ class StorageClient {
   // --- Async-issue path (the continuation seam the discrete-event engine
   // drives; see sim/). The contract is completion-ordered, not
   // thread-ordered: `done` receives the finished result exactly once, and
-  // the call itself never blocks on wall-clock waits when issued under a
-  // common::VirtualScope — every AsyncBatch the schemes build inside
-  // detects the scope and runs its ops inline, so the whole operation is
-  // one deterministic state-machine step whose cost is CPU work, not
-  // thread round trips. Without a scope these are plain synchronous calls
+  // the call itself never blocks on wall-clock waits — every AsyncBatch
+  // the schemes build inside runs its ops on the calling thread, so the
+  // whole operation is one deterministic state-machine step whose cost is
+  // CPU work. Under a common::VirtualScope the providers also see each
+  // op's virtual arrival; without one these are plain synchronous calls
   // with a callback, so non-sim callers can share code with the engine.
   void put_async(const std::string& path, common::Buffer data,
                  std::function<void(dist::WriteResult)> done) {

@@ -70,10 +70,9 @@ bool fragment_intact(const meta::FileMeta& meta, std::size_t slot,
 
 /// await_first predicate over a batch of fragment gets (`op_slot` maps
 /// op_index to slot): the get succeeded and its fragment is intact.
-/// await_first re-tests every resolved op on each wake-up and again when
-/// it ranks arrivals, and the caller tests once more when collecting, so
-/// each op's verdict is recorded in `verdicts` (-1 = not yet checked) and
-/// every fragment is CRC'd once.
+/// await_first tests every op when it ranks arrivals and the caller tests
+/// again when collecting, so each op's verdict is recorded in `verdicts`
+/// (-1 = not yet checked) and every fragment is CRC'd once.
 auto usable_fragment(const meta::FileMeta& meta,
                      const std::vector<std::size_t>& op_slot,
                      std::vector<std::int8_t>& verdicts) {
@@ -314,9 +313,9 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
 
   if (read_strategy_ == ErasureReadStrategy::kFastestK) {
     // First-k-of-n: request every reachable fragment and complete at the
-    // k-th fastest usable response; the in-flight tail is cancelled and
-    // the shaved wait reported as saved virtual time. A corrupt or failed
-    // response simply doesn't count toward k.
+    // k-th fastest usable response; the shaved wait is reported as saved
+    // virtual time. A corrupt or failed response simply doesn't count
+    // toward k.
     for (std::size_t i = 0; i < geom.total(); ++i) {
       if (outage_aware_ && !session.client(clients[i]).provider()->online()) {
         result.degraded = true;
@@ -330,14 +329,11 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     auto completions = batch.await_first(geom.k, &stats, usable);
     result.latency += stats.latency;
     result.saved = stats.saved();
-    result.cancelled_stragglers = stats.cancelled;
     for (auto& c : completions) {
       if (usable(c)) {
         shards[op_slot[c.op_index]] = std::move(c.result.data);
-      } else if (!c.cancelled) {
-        // A real failure (outage surprise or corruption), not a straggler
-        // we tore down ourselves.
-        result.degraded = true;
+      } else {
+        result.degraded = true;  // outage surprise or corruption
       }
     }
   } else {
@@ -578,7 +574,7 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   }
 
   // Reconstruction needs any k intact survivors; under kFastestK the
-  // rebuild completes at the k-th and cancels the rest.
+  // rebuild is charged at the k-th usable arrival.
   std::vector<std::int8_t> verdicts;
   const auto usable = usable_fragment(meta, batch_slots, verdicts);
   gcs::BatchStats stats;

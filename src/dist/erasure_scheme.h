@@ -21,9 +21,9 @@ namespace hyrd::dist {
 /// kPreferredK (default) issues exactly k requests to the preferred (data)
 /// slots and pays a second round only on surprises — the paper's cost
 /// model: a normal read bills exactly k GETs. kFastestK requests all
-/// reachable fragments and completes at the k-th fastest usable response,
-/// cancelling the stragglers — latency becomes the k-th order statistic of
-/// n instead of the max of k, at the price of up to m extra GET requests.
+/// reachable fragments and completes at the k-th fastest usable response —
+/// latency becomes the k-th order statistic of n instead of the max of k,
+/// at the price of up to m extra GET requests.
 enum class ErasureReadStrategy { kPreferredK, kFastestK };
 
 class ErasureScheme {

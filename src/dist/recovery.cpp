@@ -1,7 +1,5 @@
 #include "dist/recovery.h"
 
-#include <algorithm>
-
 namespace hyrd::dist {
 
 RecoveryReport RecoveryManager::resync(const std::string& provider) {
@@ -17,23 +15,18 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
   }
 
   auto& client = session_.client(client_idx);
-  const auto pending = log_.pending_for(provider);
-  std::uint64_t max_seq = 0;
 
-  for (const auto& rec : pending) {
-    max_seq = std::max(max_seq, rec.seq);
-
+  // Applies one record; a non-OK status stops the replay at that record.
+  const auto apply = [&](const meta::LogRecord& rec) -> common::Status {
     if (rec.action == meta::LogAction::kRemove) {
       auto r = client.remove({rec.container, rec.object_name});
       report.latency += r.latency;
       // NotFound is fine: the object never reached the provider.
-      if (r.ok() || r.status.code() == common::StatusCode::kNotFound) {
-        ++report.removes_applied;
-      } else {
-        report.status = r.status;
-        return report;
+      if (!r.ok() && r.status.code() != common::StatusCode::kNotFound) {
+        return r.status;
       }
-      continue;
+      ++report.removes_applied;
+      return common::Status::ok();
     }
 
     // Synthetic objects (metadata-directory blocks) are regenerated from
@@ -42,13 +35,10 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
       if (auto bytes = regenerator_(rec.path); bytes.has_value()) {
         auto r = client.put({rec.container, rec.object_name}, *bytes);
         report.latency += r.latency;
-        if (!r.ok()) {
-          report.status = r.status;
-          return report;
-        }
+        if (!r.ok()) return r.status;
         report.bytes_pushed += bytes->size();
         ++report.objects_repushed;
-        continue;
+        return common::Status::ok();
       }
     }
 
@@ -58,55 +48,52 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
       auto r = client.remove({rec.container, rec.object_name});
       report.latency += r.latency;
       ++report.skipped;
-      continue;
+      return common::Status::ok();
     }
 
     const bool replicated =
         meta->redundancy == meta::RedundancyKind::kReplicated;
     if (replicated ? replication_ == nullptr : erasure_ == nullptr) {
-      report.status = common::failed_precondition(
-          "no scheme to rebuild " + rec.path + " with");
-      return report;
+      return common::failed_precondition("no scheme to rebuild " + rec.path +
+                                         " with");
     }
     if (replicated) {
       auto whole = replication_->read(session_, *meta);
       report.latency += whole.latency;
-      if (!whole.status.is_ok()) {
-        report.status = whole.status;
-        return report;
-      }
+      if (!whole.status.is_ok()) return whole.status;
       auto r = client.put({rec.container, rec.object_name}, whole.data);
       report.latency += r.latency;
-      if (!r.ok()) {
-        report.status = r.status;
-        return report;
-      }
+      if (!r.ok()) return r.status;
       report.bytes_pushed += whole.data.size();
       ++report.objects_repushed;
-    } else {
-      common::SimDuration rebuild_latency = 0;
-      auto fragments = erasure_->rebuild_fragments_for(
-          session_, *meta, provider, &rebuild_latency);
-      report.latency += rebuild_latency;
-      if (!fragments.is_ok()) {
-        report.status = fragments.status();
-        return report;
-      }
-      for (auto& [object_name, bytes] : fragments.value()) {
-        auto r = client.put({rec.container, object_name}, bytes);
-        report.latency += r.latency;
-        if (!r.ok()) {
-          report.status = r.status;
-          return report;
-        }
-        report.bytes_pushed += bytes.size();
-        ++report.objects_repushed;
-      }
+      return common::Status::ok();
     }
-  }
+    common::SimDuration rebuild_latency = 0;
+    auto fragments = erasure_->rebuild_fragments_for(session_, *meta, provider,
+                                                     &rebuild_latency);
+    report.latency += rebuild_latency;
+    if (!fragments.is_ok()) return fragments.status();
+    for (auto& [object_name, bytes] : fragments.value()) {
+      auto r = client.put({rec.container, object_name}, bytes);
+      report.latency += r.latency;
+      if (!r.ok()) return r.status;
+      report.bytes_pushed += bytes.size();
+      ++report.objects_repushed;
+    }
+    return common::Status::ok();
+  };
 
-  log_.truncate(provider, max_seq);
+  // Records are in sequence order, so everything through `applied` is done
+  // (or superseded by a later record). Truncating through it on error as
+  // well as on success means a retry replays only from the failed record.
+  std::uint64_t applied = 0;
   report.status = common::Status::ok();
+  for (const auto& rec : log_.pending_for(provider)) {
+    report.status = apply(rec);
+    if (!report.status.is_ok()) break;
+    applied = rec.seq;
+  }
+  if (applied > 0) log_.truncate(provider, applied);
   return report;
 }
 

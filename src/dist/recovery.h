@@ -53,7 +53,9 @@ class RecoveryManager {
   }
 
   /// Replays all pending log records for `provider` (which must be back
-  /// online) and truncates the processed prefix.
+  /// online) and truncates the processed prefix. On the first failed
+  /// record it stops, truncates through the last record it applied and
+  /// returns the error, so a retry resumes at the failed record.
   RecoveryReport resync(const std::string& provider);
 
  private:

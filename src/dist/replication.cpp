@@ -1,6 +1,7 @@
 #include "dist/replication.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/checksum.h"
 #include "common/virtual_time.h"
@@ -72,11 +73,10 @@ WriteResult ReplicationScheme::write(
     gcs::AsyncBatch batch(session);
     common::SimDuration offset = 0;
     for (std::size_t i = 0; i < replica_clients.size(); ++i) {
-      batch.submit(
-          gcs::CloudOp::put(replica_clients[i], keys[i], data, offset));
-      auto c = batch.next();
-      offset = c->arrival;
-      results.push_back(static_cast<cloud::OpResult&&>(std::move(c->result)));
+      auto& c = batch.completion(batch.submit(
+          gcs::CloudOp::put(replica_clients[i], keys[i], data, offset)));
+      offset = c.arrival;
+      results.push_back(static_cast<cloud::OpResult&&>(std::move(c.result)));
     }
     result.latency = offset;
   }
@@ -237,24 +237,26 @@ ReadResult ReplicationScheme::read(gcs::MultiCloudSession& session,
   gcs::AsyncBatch batch(session);
   std::vector<bool> op_is_hedge;
   std::size_t cursor = 0;  // next candidate in `order`
-  const auto submit_next = [&](common::SimDuration start,
-                               bool is_hedge) -> bool {
+  // Submits the next candidate replica; returns its op_index, or nullopt
+  // when every candidate has been tried.
+  const auto submit_next = [&](common::SimDuration start, bool is_hedge)
+      -> std::optional<std::size_t> {
     while (cursor < order.size()) {
       const std::size_t client_idx = order[cursor];
       ++cursor;
       const auto* loc = loc_for_client(client_idx);
       if (loc == nullptr) continue;
-      batch.submit(gcs::CloudOp::get(client_idx,
-                                     {container_, loc->object_name}, start));
       op_is_hedge.push_back(is_hedge);
       if (is_hedge) hedge_counter().inc();
-      return true;
+      return batch.submit(
+          gcs::CloudOp::get(client_idx, {container_, loc->object_name}, start));
     }
-    return false;
+    return std::nullopt;
   };
 
   bool first_attempt = !result.degraded;
-  if (!submit_next(0, false)) {
+  std::optional<std::size_t> op = submit_next(0, false);
+  if (!op.has_value()) {
     result.status = common::unavailable("no replica readable for " + meta.path);
     return result;
   }
@@ -277,64 +279,46 @@ ReadResult ReplicationScheme::read(gcs::MultiCloudSession& session,
   bool have_usable = false;
   common::Buffer best_data;
   common::SimDuration best_arrival = 0;
-  common::SimDuration worst_arrival = 0;  // max non-cancelled arrival seen
+  common::SimDuration worst_arrival = 0;  // max arrival seen
 
-  for (;;) {
-    std::optional<gcs::CloudCompletion> c;
-    if (may_hedge && !hedge_attempted) {
-      c = batch.next_for(hedge_.real_stall_timeout_ms);
-      if (!c.has_value()) {
-        if (batch.pending() == 0) break;  // all delivered
-        // No response in real time: the primary is wedged, not merely
-        // virtually slow. Fire the hedge now; it is charged as submitted
-        // at the virtual delay threshold.
-        hedge_attempted = true;
-        submit_next(hedge_delay, true);
-        continue;
-      }
-    } else {
-      c = batch.next();
-      if (!c.has_value()) break;
-    }
+  // Each op has resolved by the time submit returns, so every step reads
+  // the op it just submitted and decides whether another one goes out.
+  while (op.has_value()) {
+    gcs::CloudCompletion& c = batch.completion(*op);
+    const bool is_hedge = op_is_hedge[*op];
+    const common::SimDuration arrival = c.arrival;
+    op.reset();
+    worst_arrival = std::max(worst_arrival, arrival);
 
-    if (c->cancelled) {
-      ++result.cancelled_stragglers;
-      continue;
-    }
-    worst_arrival = std::max(worst_arrival, c->arrival);
-    const bool is_hedge = op_is_hedge[c->op_index];
-
-    bool usable = c->ok();
-    if (usable && meta.crc != 0 && common::crc32c(c->result.data) != meta.crc) {
+    bool usable = c.ok();
+    if (usable && meta.crc != 0 && common::crc32c(c.result.data) != meta.crc) {
       // Stale or corrupt replica (e.g. provider returned from outage
       // before consistency update); treat as a failure and move on.
       usable = false;
     }
 
     if (usable) {
-      if (!have_usable || c->arrival < best_arrival) {
-        best_arrival = c->arrival;
-        best_data = std::move(c->result.data);
+      if (!have_usable || arrival < best_arrival) {
+        best_arrival = arrival;
+        best_data = std::move(c.result.data);
       }
       have_usable = true;
       // Virtually slow primary (brownout): the hedge would have fired at
       // hedge_delay, and whichever response arrives first in virtual time
-      // wins. Submit it and keep collecting.
+      // wins.
       if (may_hedge && !hedge_attempted && !is_hedge &&
-          c->arrival > hedge_delay) {
+          arrival > hedge_delay) {
         hedge_attempted = true;
-        if (submit_next(hedge_delay, true)) continue;
+        op = submit_next(hedge_delay, true);
       }
-      break;  // a usable response in hand and no reason to wait for more
+      continue;
     }
 
     // Failure. Legacy failover: try the next replica in latency order,
     // submitted at this failure's virtual arrival so the chain sums.
     result.degraded = true;
     if (!is_hedge) first_attempt = false;
-    if (!have_usable && batch.pending() == 0) {
-      submit_next(c->arrival, false);
-    }
+    if (!have_usable) op = submit_next(arrival, false);
   }
 
   if (!have_usable) {
@@ -342,23 +326,6 @@ ReadResult ReplicationScheme::read(gcs::MultiCloudSession& session,
         common::unavailable("no replica readable for " + meta.path);
     result.latency = worst_arrival;
     return result;
-  }
-
-  // Tear down whatever is still in flight (e.g. the wedged primary after
-  // a hedge win) and account for responses that raced past the teardown.
-  batch.cancel_remaining();
-  while (auto d = batch.next()) {
-    if (d->cancelled) {
-      ++result.cancelled_stragglers;
-      continue;
-    }
-    worst_arrival = std::max(worst_arrival, d->arrival);
-    if (d->ok() &&
-        !(meta.crc != 0 && common::crc32c(d->result.data) != meta.crc) &&
-        d->arrival < best_arrival) {
-      best_arrival = d->arrival;
-      best_data = std::move(d->result.data);
-    }
   }
 
   result.status = common::Status::ok();
@@ -411,12 +378,11 @@ WriteResult ReplicationScheme::update_range(
     gcs::AsyncBatch batch(session);
     common::SimDuration chain = 0;
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      batch.submit(gcs::CloudOp::put_range(
+      auto& c = batch.completion(batch.submit(gcs::CloudOp::put_range(
           targets[i], {container_, locs[i]->object_name}, offset, data,
-          chain));
-      auto c = batch.next();
-      chain = c->arrival;
-      results.push_back(static_cast<cloud::OpResult&&>(std::move(c->result)));
+          chain)));
+      chain = c.arrival;
+      results.push_back(static_cast<cloud::OpResult&&>(std::move(c.result)));
     }
     result.latency = chain;
   }

@@ -19,22 +19,17 @@ namespace hyrd::dist {
 enum class ReplicaWriteMode { kParallel, kSequential };
 
 /// Hedged-read policy. A replicated read goes to the expected-fastest
-/// online replica first; a hedge fires a second request when the primary
-/// is slow by either clock:
-///  * virtual  — the primary's response costs more than `delay_factor` ×
-///    its expected latency (a brownout: reachable but degraded), or
-///  * real     — no response within `real_stall_timeout_ms` of wall time
-///    (a wedged request that virtual accounting alone can never observe).
-/// The hedge is charged as fired at the virtual delay threshold, and the
-/// read completes at the earliest usable arrival. The defaults are
-/// deliberately conservative: under the baseline jitter model (lognormal
-/// sigma 0.08) a 3x-expected response never occurs, so hedges fire only
-/// under genuine brownouts or stalls and the normal-path economics (one
-/// GET per read) are unchanged.
+/// online replica first; a hedge fires a second request when the primary's
+/// response costs more than `delay_factor` × its expected latency (a
+/// brownout: reachable but degraded). The hedge is charged as fired at
+/// that virtual threshold, and the read completes at the earliest usable
+/// arrival. The default is deliberately conservative: under the baseline
+/// jitter model (lognormal sigma 0.08) a 3x-expected response never
+/// occurs, so hedges fire only under genuine brownouts and the normal-path
+/// economics (one GET per read) are unchanged.
 struct HedgePolicy {
   bool enabled = true;
   double delay_factor = 3.0;
-  int real_stall_timeout_ms = 200;
 };
 
 class ReplicationScheme {
@@ -97,7 +92,7 @@ class ReplicationScheme {
 
   /// Reads from the expected-fastest replica, failing over in latency
   /// order; a hedged backup fires per the HedgePolicy when the primary is
-  /// slow or stalled. `degraded` is set when the first choice was
+  /// slow. `degraded` is set when the first choice was
   /// unavailable (a hedge win alone is not degradation).
   ReadResult read(gcs::MultiCloudSession& session,
                   const meta::FileMeta& meta) const;

@@ -35,10 +35,8 @@ struct ReadResult {
   bool degraded = false;  // true if reconstruction / failover was needed
 
   // Early-completion accounting (first-k / hedged paths; zero otherwise):
-  // virtual time saved versus waiting for the slowest request, and how
-  // many stragglers were torn down instead of awaited.
+  // virtual time saved versus waiting for the slowest request.
   common::SimDuration saved = 0;
-  std::size_t cancelled_stragglers = 0;
 };
 
 /// Result of a remove; lists providers that could not be reached so the

@@ -1,55 +1,40 @@
-// AsyncBatch: the completion-ordered async engine under the GCS-API layer.
+// AsyncBatch: the order-statistic fan-out engine under the GCS-API layer.
 //
 // A blocking fan-out's virtual latency is the max over every member —
 // correct for "wait for all", but a redundancy scheme rarely needs all:
 // RS(k,m) reads need the fastest k shards, a replicated read needs one
 // good replica, and a quorum write (DepSky) needs the quorum-th durable
-// copy. AsyncBatch submits each op to the session pool individually and
-// lets the caller aggregate by *order statistic* as well as by max:
+// copy. AsyncBatch records every op's virtual arrival and lets the caller
+// aggregate by *order statistic* as well as by max:
 //
 //   arrival(op) = op.start_offset + result.latency      (virtual time)
 //
-//   await_all    latency = max arrival over non-cancelled ops (the
-//                wait-for-all fan-out; results in input order)
-//   await_first  completes once `need` usable ops landed, cancels the
-//                stragglers still unresolved after a real-time grace
-//                period, latency = need-th smallest usable arrival
-//   await_quorum write-side: every op still runs to real completion
-//                (durability + failure logging preserved); only the *ack*
-//                latency is the quorum-th successful arrival
+//   await_all    latency = max arrival (the wait-for-all fan-out)
+//   await_first  latency = need-th smallest usable arrival
+//   await_quorum latency = quorum-th smallest successful arrival (the ack;
+//                every write still lands or fails and is logged)
 //
-// `start_offset` is the op's virtual submit time relative to the batch
-// epoch. Late submissions model sequential failover and phase-2 repair
-// rounds: submitting a retry at offset = (failed op's arrival) makes
-// max-over-arrivals reproduce the legacy sum-of-latencies chain exactly.
+// One execution model: submit() runs the op at once, on the calling
+// thread, and records its completion. Concurrency lives in virtual time,
+// not in threads: an op's virtual submit time is `start_offset` past the
+// batch epoch, so ops of one batch overlap however they were run. Late
+// submissions model sequential failover and phase-2 repair rounds:
+// submitting a retry at offset = (failed op's arrival) makes
+// max-over-arrivals reproduce the legacy sum-of-latencies chain exactly,
+// and a sequential caller reads the op it just submitted via completion().
+// Every op runs to completion and is billed, so the await_* calls only
+// aggregate, and ops run in submit order, so a batch with several ops to
+// one provider draws that provider's latency stream in a fixed order.
 //
-// Cancellation is cooperative (see cloud/cancel.h): each op owns a flag the
-// pool task installs as a CancelScope; SimProvider aborts at its next check
-// and the op resolves with StatusCode::kCancelled, zero latency, and no
-// billing. Ops cancelled before dispatch never reach the provider at all.
-// The destructor cancels and then joins every outstanding task, so a batch
-// never leaks pool work or lets a task outlive the buffers its ops span.
-//
-// Inline (discrete-event) mode: when the batch is constructed under a
-// common::VirtualScope — i.e. the caller is a tenant state machine being
-// stepped by the sim/ event loop — submit() executes the op synchronously
-// on the calling thread instead of dispatching it to the session pool,
-// with the scope re-installed at now + start_offset so SimProvider's
-// congestion queue sees the correct virtual arrival. Virtual-time
-// aggregation is unchanged (arrivals and order statistics are computed
-// identically); what changes is the real-time shape: every await_* and
-// next() returns without blocking, so a single OS thread can step through
-// millions of tenants' batches deterministically. Two semantic deltas,
-// both deliberate: real-stall hedges (next_for) never fire — a
-// single-threaded simulation has no wedged threads — and stragglers that
-// an await_first would have torn down mid-flight have already completed,
-// so they are billed as completed requests rather than cancelled ones.
+// Under a common::VirtualScope (a tenant state machine stepped by the sim/
+// event loop) the batch captures the scope at construction as its epoch
+// and re-installs it at epoch + start_offset around each op, so
+// SimProvider's congestion queue sees the op's virtual arrival. Without a
+// scope the providers skip congestion accounting and nothing is installed.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -57,9 +42,6 @@
 #include "common/bytes.h"
 #include "common/clock.h"
 #include "common/virtual_time.h"
-
-#include <atomic>
-#include <condition_variable>
 
 namespace hyrd::gcs {
 
@@ -74,9 +56,9 @@ struct CloudOp {
   cloud::ObjectKey key;
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
-  // Puts only. An owning Buffer keeps the payload alive for the batch's
-  // lifetime (refbump, zero-copy). The ByteSpan factory overloads wrap a
-  // borrow()ed view: that memory must outlive the batch, as before.
+  // Puts only. The op runs inside submit(), so the payload need only live
+  // that long: the ByteSpan factory overloads wrap a borrow()ed view, and
+  // a store keeps an owning Buffer by refbump (zero-copy).
   common::Buffer data{};
   common::SimDuration start_offset = 0;
 
@@ -121,9 +103,8 @@ struct CloudCompletion {
   std::size_t op_index = 0;
   cloud::GetResult result;
   common::SimDuration arrival = 0;  // start_offset + result.latency
-  bool cancelled = false;           // torn down (pre- or mid-dispatch)
 
-  [[nodiscard]] bool ok() const { return !cancelled && result.status.is_ok(); }
+  [[nodiscard]] bool ok() const { return result.status.is_ok(); }
 };
 
 /// Aggregate accounting for one await_* call.
@@ -132,10 +113,8 @@ struct BatchStats {
   common::SimDuration max_latency = 0;  // what await_all would have charged
   std::size_t completed = 0;            // ops that resolved (incl. failures)
   std::size_t succeeded = 0;
-  std::size_t cancelled = 0;
 
   /// Virtual time early completion shaved off versus waiting for the tail.
-  /// Lower bound: cancelled stragglers never report an arrival at all.
   [[nodiscard]] common::SimDuration saved() const {
     return max_latency > latency ? max_latency - latency : 0;
   }
@@ -148,81 +127,49 @@ class AsyncBatch {
   /// it, at that call's virtual instant.
   explicit AsyncBatch(MultiCloudSession& session)
       : session_(session), sim_ctx_(common::VirtualScope::snapshot()) {}
-  ~AsyncBatch();  // cancels stragglers and joins every task
-
-  /// True when ops run inline on the submitting thread (discrete-event
-  /// mode) instead of on the session pool.
-  [[nodiscard]] bool inline_mode() const { return sim_ctx_.has_value(); }
 
   AsyncBatch(const AsyncBatch&) = delete;
   AsyncBatch& operator=(const AsyncBatch&) = delete;
 
-  /// Schedules `op` on the session pool; returns its op_index. Late
-  /// submission (after earlier ops resolved, or after cancel_remaining)
-  /// is allowed — new ops are not affected by prior cancellations.
+  /// Runs `op` now, on this thread, and records its completion; returns
+  /// its op_index. Submission after an await_* is allowed.
   std::size_t submit(CloudOp op);
 
-  [[nodiscard]] std::size_t submitted() const;
-  [[nodiscard]] std::size_t pending() const;  // submitted - resolved
-
-  /// Next not-yet-delivered completion in real resolution order; blocks
-  /// until one resolves. nullopt when every submitted op was delivered.
-  std::optional<CloudCompletion> next();
-
-  /// As next(), but gives up after `timeout_ms` of real (wall-clock) time
-  /// — the scheme layer's "is this request *really* stalled?" probe.
-  std::optional<CloudCompletion> next_for(int timeout_ms);
-
-  /// Flags every unresolved op cancelled. Undispatched ops resolve
-  /// immediately; in-flight ops resolve at the provider's next check.
-  void cancel_remaining();
+  /// The completion of op `op_index`, valid until the next submit().
+  /// Callers may move its payload out; after an await_* it has been moved
+  /// into that call's result.
+  [[nodiscard]] CloudCompletion& completion(std::size_t op_index) {
+    return done_[op_index];
+  }
 
   using UsableFn = std::function<bool(const CloudCompletion&)>;
 
-  /// Waits for all ops. Latency = max arrival over non-cancelled ops
-  /// (failures included).
+  /// Latency = max arrival over every op (failures included).
   /// Returns completions indexed by op_index.
   std::vector<CloudCompletion> await_all(BatchStats* stats = nullptr);
 
-  /// Waits until `need` completions satisfying `usable` (default: ok())
-  /// have resolved — or everything resolved — then gives the rest a short
-  /// real-time grace period and cancels and drains whatever is still
-  /// unresolved (a wedged request). Latency = need-th smallest usable
-  /// arrival, so the winners are the virtually fastest ops, not the first
-  /// to finish on the pool; falls back to await_all's max when fewer than
-  /// `need` usable ops exist.
+  /// Latency = need-th smallest arrival among completions satisfying
+  /// `usable` (default: ok()), so the winners are the virtually fastest
+  /// ops; falls back to await_all's max when fewer than `need` are usable.
   std::vector<CloudCompletion> await_first(std::size_t need,
                                            BatchStats* stats = nullptr,
                                            UsableFn usable = {});
 
-  /// Write-side aggregation: every op runs to real completion (durability
-  /// and failure logging are never sacrificed) and none is cancelled; only
-  /// the *ack* latency is an order statistic: the `quorum`-th smallest
+  /// Write-side aggregation: the *ack* latency is the `quorum`-th smallest
   /// successful arrival, or await_all's max when fewer succeeded.
   std::vector<CloudCompletion> await_quorum(std::size_t quorum,
                                             BatchStats* stats = nullptr);
 
  private:
-  struct OpRec {
-    CloudOp op;
-    std::atomic<bool> cancel{false};
-    bool resolved = false;
-    bool delivered = false;
-    CloudCompletion completion;
-  };
-
-  void run_op(std::size_t index);
-  void wait_all_resolved(std::unique_lock<std::mutex>& lock);
-  std::vector<CloudCompletion> snapshot_locked();
-  void fill_stats_locked(BatchStats* stats, common::SimDuration latency) const;
+  /// Charges the need-th smallest arrival among completions passing
+  /// `counts` (unused when need == 0), or the max arrival when fewer pass;
+  /// then hands every completion's payload to the caller.
+  std::vector<CloudCompletion> finish(std::size_t need, const UsableFn& counts,
+                                      BatchStats* stats);
 
   MultiCloudSession& session_;
   const std::optional<common::VirtualContext> sim_ctx_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<OpRec> ops_;  // deque: stable addresses across submit()
-  std::deque<std::size_t> ready_;  // resolved, not yet delivered via next()
-  std::size_t resolved_count_ = 0;
+  std::vector<CloudCompletion> done_;  // indexed by op_index
 };
 
 }  // namespace hyrd::gcs

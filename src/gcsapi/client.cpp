@@ -3,7 +3,6 @@
 #include <cassert>
 #include <optional>
 
-#include "cloud/cancel.h"
 #include "common/checksum.h"
 #include "common/virtual_time.h"
 #include "obs/metrics.h"
@@ -70,9 +69,6 @@ ResultT CloudClient::run(cloud::OpKind op, const cloud::ObjectKey& key,
         attempt >= policy_.max_attempts) {
       break;
     }
-    // A cancelled op (AsyncBatch straggler teardown, cancelled event) must
-    // not burn backoff budget on a result nobody is waiting for.
-    if (cloud::CancelScope::cancelled()) break;
     const common::SimDuration backoff =
         policy_.backoff_before(attempt, decorrelate);
     if (policy_.over_deadline(total_latency, backoff)) break;

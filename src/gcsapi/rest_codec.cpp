@@ -231,7 +231,6 @@ int status_to_http(const common::Status& status) {
     case common::StatusCode::kDataLoss: return 500;
     case common::StatusCode::kFailedPrecondition: return 412;
     case common::StatusCode::kInternal: return 500;
-    case common::StatusCode::kCancelled: return 499;  // client closed request
     case common::StatusCode::kResourceExhausted: return 429;  // throttled
   }
   return 500;
@@ -246,7 +245,6 @@ common::Status http_to_status(int code, const std::string& message) {
     case 409: return common::already_exists(message);
     case 412: return common::failed_precondition(message);
     case 429: return common::resource_exhausted(message);
-    case 499: return common::cancelled(message);
     default: return common::internal_error(message);
   }
 }

@@ -16,7 +16,7 @@ bool RetryPolicy::retryable(common::StatusCode code) const {
       return retry_throttled;
     default:
       // kOk never reaches here; everything else (kNotFound, kInvalidArgument,
-      // kAlreadyExists, kDataLoss, kFailedPrecondition, kCancelled) is
+      // kAlreadyExists, kDataLoss, kFailedPrecondition) is
       // deterministic — retrying cannot change the outcome.
       return false;
   }

@@ -1,7 +1,8 @@
 // MultiCloudSession: the fan-out half of the GCS-API middleware.
 //
-// Owns one CloudClient per provider and the thread pool that the
-// completion-ordered engine (gcsapi/async_batch.h) runs fan-outs on.
+// Owns one CloudClient per provider (fan-outs in gcsapi/async_batch.h
+// address them by index) and a thread pool for the client-side compute of
+// large stripe writes.
 #pragma once
 
 #include <memory>
@@ -32,8 +33,8 @@ class MultiCloudSession {
   /// through this.
   [[nodiscard]] std::size_t index_of(const std::string& provider_name) const;
 
-  /// The session's worker pool. Schemes use it to overlap client-side
-  /// compute (stripe encode, fragment CRCs) with in-flight transfers.
+  /// The session's worker pool. ErasureScheme::write runs stripe encode
+  /// and fragment CRCs on it while the caller uploads data fragments.
   [[nodiscard]] common::ThreadPool& pool() { return pool_; }
 
   /// Creates `container` on every provider (idempotent).

@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "cloud/cancel.h"
-
 namespace hyrd::sim {
 
 namespace {
@@ -46,16 +44,16 @@ bool EventQueue::cancel(EventId id) {
   if (slot_plus_one == 0 || slot_plus_one > slab_.size()) return false;
   Entry& e = slab_[slot_plus_one - 1];
   if (e.handler == nullptr || (e.seq & kLow32) != (id >> 32)) return false;
-  // Flag, don't release: the heap item still references the slot, and the
-  // flag must stay readable (it may be the installed CancelScope of work
-  // already associated with this event).
-  return !e.cancelled.exchange(true, std::memory_order_acq_rel);
+  // Flag, don't release: the heap item still references the slot.
+  if (e.cancelled) return false;
+  e.cancelled = true;
+  return true;
 }
 
 void EventQueue::release(std::uint32_t slot) {
   Entry& e = slab_[slot];
   e.handler = nullptr;
-  e.cancelled.store(false, std::memory_order_relaxed);
+  e.cancelled = false;
   free_.push_back(slot);
   --live_;
 }
@@ -66,21 +64,15 @@ bool EventQueue::step() {
     heap_.pop();
     Entry& e = slab_[item.slot];
     assert(e.handler != nullptr && e.seq == item.seq && "heap item without entry");
-    if (e.cancelled.load(std::memory_order_acquire)) {
+    if (e.cancelled) {
       release(item.slot);
       continue;
     }
     assert(item.when >= now_ && "virtual time must be monotonic");
     now_ = item.when;
     ++dispatched_;
-    {
-      // The event's own flag doubles as the cooperative-cancellation token
-      // for everything the handler does: a provider op issued from this
-      // step aborts exactly like an AsyncBatch straggler would.
-      cloud::CancelScope scope(&e.cancelled);
-      e.handler->on_event(*this, now_);
-    }
-    release(item.slot);  // `e` stays valid: the slab never relocates
+    e.handler->on_event(*this, now_);
+    release(item.slot);
     return true;
   }
   return false;

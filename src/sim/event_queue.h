@@ -15,22 +15,16 @@
 // Ordering: events with equal timestamps dispatch in schedule() order
 // (a monotone sequence number breaks ties), so runs are reproducible.
 //
-// Cancellation: every scheduled event owns an atomic cancel flag.
-// cancel(id) marks it; the dispatcher skips marked events, and while a
-// handler runs, its event's flag is installed as the thread's
-// cloud::CancelScope — so provider-level cooperative cancellation (the
-// same mechanism AsyncBatch stragglers use) composes with event-level
-// cancellation without new machinery.
+// Cancellation: every scheduled event owns a cancel flag. cancel(id)
+// marks it and the dispatcher skips marked events. A handler that is
+// already running is never interrupted: its step runs to completion.
 //
 // Storage: events live in a slab of entries recycled through a free list,
-// so a steady-state schedule/dispatch cycle allocates nothing. The slab
-// never moves an entry (a handler may schedule more events while its own
-// flag is the installed CancelScope), and an EventId names its slot plus
-// the event's sequence number, so cancel() is O(1) and rejects an id whose
-// slot has since been reused.
+// so a steady-state schedule/dispatch cycle allocates nothing. An EventId
+// names its slot plus the event's sequence number, so cancel() is O(1) and
+// rejects an id whose slot has since been reused.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -103,14 +97,15 @@ class EventQueue {
   struct Entry {
     EventHandler* handler = nullptr;  // null = free slot
     std::uint64_t seq = 0;
-    std::atomic<bool> cancelled{false};
+    bool cancelled = false;
   };
 
   void release(std::uint32_t slot);
 
   std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>> heap_;
-  // A deque never relocates its elements, so &entry.cancelled stays valid
-  // while a handler scheduled from inside on_event() grows the slab.
+  // Addressed by slot index only, never held across on_event(), so a
+  // handler may grow the slab while it runs; a deque grows without moving
+  // the live entries.
   std::deque<Entry> slab_;
   std::vector<std::uint32_t> free_;  // reusable slots, most recent last
   std::size_t live_ = 0;

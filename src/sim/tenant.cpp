@@ -21,9 +21,9 @@ common::SimDuration Tenant::draw_think() {
 }
 
 void Tenant::on_event(EventQueue& queue, common::SimDuration now) {
-  // Everything issued from this step carries (now, id, weight): AsyncBatch
-  // switches to inline execution and SimProvider's fair queue sees the
-  // arrival instant and the flow identity.
+  // Everything issued from this step carries (now, id, weight):
+  // SimProvider's fair queue sees the arrival instant and the flow
+  // identity.
   common::VirtualScope scope({now, id_, config_.weight});
 
   // Metadata traffic: a stat is answered from the client-resident sharded

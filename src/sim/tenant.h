@@ -8,9 +8,9 @@
 //
 //   wakeup(t) -> install VirtualScope{t, id, weight}
 //             -> issue one PUT or GET through the shared StorageClient
-//                (AsyncBatch detects the scope and runs inline; latency —
-//                including SimProvider queueing delay — comes back as a
-//                virtual duration, with zero wall-clock blocking)
+//                (AsyncBatch runs each op inline at its virtual arrival;
+//                latency — including SimProvider queueing delay — comes
+//                back as a virtual duration, with zero wall-clock blocking)
 //             -> record the op into the fleet metrics
 //             -> schedule next wakeup at t + latency + think time
 //

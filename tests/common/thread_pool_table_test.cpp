@@ -63,7 +63,7 @@ TEST(ThreadPool, ParallelForStressFromManyExternalThreads) {
   // Several caller threads hammering parallel_for on one shared pool:
   // each call must see all of its own indices and nothing else. This is
   // the shape of the pipelined erasure write (encode chunks + CRC tasks
-  // + fragment puts on the same session pool).
+  // from concurrent writers on the same session pool).
   ThreadPool pool(4);
   constexpr int kCallers = 6;
   constexpr int kRounds = 25;

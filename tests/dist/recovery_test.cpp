@@ -147,6 +147,46 @@ TEST_F(RecoveryTest, ResyncUsesBlockRegenerator) {
   EXPECT_EQ(common::to_string(got.data), "regenerated");
 }
 
+TEST_F(RecoveryTest, ResyncKeepsProgressWhenAPutFails) {
+  // Five logged records; the provider's put of record 2 fails (the op hook
+  // wipes the store under it, so the put finds no container). Records 0
+  // and 1 were applied, so the retry must replay exactly records 2..4.
+  constexpr std::size_t kRecords = 5;
+  constexpr std::size_t kFailAt = 2;
+  recovery_->set_block_regenerator(
+      [](const std::string& path) -> std::optional<common::Bytes> {
+        return common::bytes_of(path);
+      });
+  for (std::size_t i = 0; i < kRecords; ++i) {
+    log_.append("Aliyun", "data", "blk" + std::to_string(i),
+                "o" + std::to_string(i), meta::LogAction::kPut);
+  }
+  auto* aliyun = registry_.find("Aliyun");
+  const std::string fail_name = "o" + std::to_string(kFailAt);
+  bool failed_once = false;
+  aliyun->set_op_hook([&](cloud::OpKind op, const cloud::ObjectKey& key) {
+    if (op == cloud::OpKind::kPut && key.name == fail_name && !failed_once) {
+      failed_once = true;
+      aliyun->raw_store().wipe();
+    }
+  });
+  aliyun->reset_counters();
+  const auto first = recovery_->resync("Aliyun");
+  aliyun->set_op_hook(nullptr);
+  EXPECT_FALSE(first.status.is_ok());
+  EXPECT_EQ(first.objects_repushed, kFailAt);
+  EXPECT_EQ(aliyun->counters().puts, kFailAt + 1);  // the failed put too
+  EXPECT_EQ(log_.pending_for("Aliyun").size(), kRecords - kFailAt);
+
+  ASSERT_TRUE(aliyun->create("data").ok());
+  aliyun->reset_counters();
+  const auto retry = recovery_->resync("Aliyun");
+  ASSERT_TRUE(retry.status.is_ok());
+  EXPECT_EQ(retry.objects_repushed, kRecords - kFailAt);
+  EXPECT_EQ(aliyun->counters().puts, kRecords - kFailAt);
+  EXPECT_TRUE(log_.pending_for("Aliyun").empty());
+}
+
 TEST_F(RecoveryTest, ResyncFailsWhileProviderStillOffline) {
   registry_.find("Aliyun")->set_online(false);
   auto report = recovery_->resync("Aliyun");

@@ -1,16 +1,12 @@
-// AsyncBatch: the completion-ordered engine under the GCS-API layer.
+// AsyncBatch: the order-statistic engine under the GCS-API layer.
 // Verifies the virtual-time aggregation contracts (await_all == legacy
-// max, await_first == order statistic, offset chaining == legacy sums),
-// the ack policies, and cooperative cancellation end to end.
+// max, await_first == order statistic, offset chaining == legacy sums)
+// and the ack policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <thread>
 #include <vector>
 
-#include "cloud/cancel.h"
 #include "cloud/profiles.h"
 #include "common/bytes.h"
 #include "gcsapi/async_batch.h"
@@ -53,13 +49,11 @@ TEST_F(AsyncBatchTest, AwaitAllLatencyIsMaxArrival) {
   EXPECT_EQ(stats.latency, stats.max_latency);
   EXPECT_EQ(stats.saved(), 0);
   EXPECT_EQ(stats.succeeded, 4u);
-  EXPECT_EQ(stats.cancelled, 0u);
 }
 
 TEST_F(AsyncBatchTest, AwaitFirstChargesOrderStatistic) {
-  // With no stragglers left in flight (all four resolve before the k-th
-  // check can fire, or get cancelled), await_first's latency must be the
-  // k-th smallest arrival over the usable responses it actually kept.
+  // await_first's latency must be the k-th smallest arrival over the
+  // usable responses, while every op still resolves.
   constexpr std::size_t kNeed = 2;
   AsyncBatch batch(session_);
   for (std::size_t i = 0; i < 4; ++i) {
@@ -70,8 +64,8 @@ TEST_F(AsyncBatchTest, AwaitFirstChargesOrderStatistic) {
 
   std::vector<common::SimDuration> usable;
   common::SimDuration max_arrival = 0;
+  ASSERT_EQ(completions.size(), 4u);
   for (const auto& c : completions) {
-    if (c.cancelled) continue;
     max_arrival = std::max(max_arrival, c.arrival);
     if (c.result.status.is_ok()) usable.push_back(c.arrival);
   }
@@ -89,16 +83,14 @@ TEST_F(AsyncBatchTest, StartOffsetChainReproducesSequentialSum) {
   common::SimDuration chain = 0;
   common::SimDuration sum = 0;
   for (std::size_t i = 0; i < 3; ++i) {
-    batch.submit(CloudOp::get(i, {"c", "obj"}, chain));
-    auto c = batch.next();
-    ASSERT_TRUE(c.has_value());
-    ASSERT_TRUE(c->ok());
-    EXPECT_EQ(c->arrival, chain + c->result.latency);
-    chain = c->arrival;
-    sum += c->result.latency;
+    const auto& c =
+        batch.completion(batch.submit(CloudOp::get(i, {"c", "obj"}, chain)));
+    ASSERT_TRUE(c.ok());
+    EXPECT_EQ(c.arrival, chain + c.result.latency);
+    chain = c.arrival;
+    sum += c.result.latency;
   }
   EXPECT_EQ(chain, sum);
-  EXPECT_EQ(batch.pending(), 0u);
 }
 
 TEST_F(AsyncBatchTest, AckPoliciesAreOrderedByRank) {
@@ -111,7 +103,6 @@ TEST_F(AsyncBatchTest, AckPoliciesAreOrderedByRank) {
     BatchStats stats;
     auto completions = batch.await_quorum(quorum, &stats);
     EXPECT_EQ(stats.succeeded, 4u);  // every write still lands
-    EXPECT_EQ(stats.cancelled, 0u);
     for (const auto& c : completions) EXPECT_TRUE(c.ok());
     return stats;
   };
@@ -148,128 +139,18 @@ TEST_F(AsyncBatchTest, EveryAckPolicyLeavesIdenticalDurableState) {
   }
 }
 
-TEST_F(AsyncBatchTest, CancelledStragglerIsCheapAndCounted) {
-  // Wedge one provider with a stall hook that only releases when the
-  // client tears the request down; prove the cancelled op costs nothing
-  // (no latency draw, no billing, no counter except `cancelled`).
-  auto* slow = registry_.find("WindowsAzure");
-  const auto before = slow->counters();
-  const double billed_before = slow->billing().open_month_transfer_cost();
-  std::atomic<bool> stalled{false};
-  slow->set_op_hook([&](cloud::OpKind, const cloud::ObjectKey&) {
-    stalled.store(true);
-    while (!cloud::CancelScope::cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-
-  AsyncBatch batch(session_);
-  const std::size_t slow_index = session_.index_of("WindowsAzure");
-  for (std::size_t i = 0; i < 4; ++i) {
-    batch.submit(CloudOp::get(i, {"c", "obj"}));
-  }
-  // Wait until the wedged request is provably inside the provider, then
-  // complete at the first 3 usable responses; the straggler is cancelled.
-  while (!stalled.load()) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  BatchStats stats;
-  auto completions = batch.await_first(3, &stats);
-  slow->set_op_hook(nullptr);
-
-  ASSERT_EQ(completions.size(), 4u);
-  EXPECT_TRUE(completions[slow_index].cancelled);
-  EXPECT_EQ(completions[slow_index].result.status.code(),
-            common::StatusCode::kCancelled);
-  EXPECT_EQ(completions[slow_index].result.latency, 0);
-  EXPECT_EQ(stats.cancelled, 1u);
-  EXPECT_EQ(stats.succeeded, 3u);
-
-  const auto after = slow->counters();
-  EXPECT_EQ(after.cancelled, before.cancelled + 1);
-  EXPECT_EQ(after.gets, before.gets);  // never committed as a served GET
-  EXPECT_EQ(after.bytes_read, before.bytes_read);
-  EXPECT_EQ(slow->billing().open_month_transfer_cost(), billed_before);
-}
-
-TEST_F(AsyncBatchTest, CancelBeforeDispatchNeverReachesProvider) {
-  // Saturate the pool with stalls so a later op is still queued when the
-  // batch cancels; it must resolve kCancelled without touching the
-  // provider at all (not even the op hook).
-  auto* slow = registry_.find("WindowsAzure");
-  std::atomic<int> entered{0};
-  slow->set_op_hook([&](cloud::OpKind, const cloud::ObjectKey&) {
-    entered.fetch_add(1);
-    while (!cloud::CancelScope::cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  const std::size_t slow_index = session_.index_of("WindowsAzure");
-  const std::size_t workers = session_.pool().size();
-
-  AsyncBatch batch(session_);
-  for (std::size_t i = 0; i < workers; ++i) {
-    batch.submit(CloudOp::get(slow_index, {"c", "obj"}));
-  }
-  while (entered.load() < static_cast<int>(workers)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  // Every worker is wedged inside the hook; this op can only be queued.
-  const std::size_t queued = batch.submit(CloudOp::get(0, {"c", "obj"}));
-  const auto aliyun_gets_before =
-      session_.client(0).provider()->counters().gets;
-  batch.cancel_remaining();
-  BatchStats stats;
-  auto completions = batch.await_all(&stats);
-  slow->set_op_hook(nullptr);
-
-  EXPECT_TRUE(completions[queued].cancelled);
-  EXPECT_EQ(entered.load(), static_cast<int>(workers));
-  EXPECT_EQ(session_.client(0).provider()->counters().gets,
-            aliyun_gets_before);
-  // Pre-dispatch cancellations never reached a provider, so they don't
-  // even show up in the target's cancelled audit counter.
-  EXPECT_EQ(session_.client(0).provider()->counters().cancelled, 0u);
-  EXPECT_EQ(stats.cancelled, static_cast<std::size_t>(workers) + 1);
-}
-
 TEST_F(AsyncBatchTest, LateSubmitAfterCancelStillRuns) {
+  // Submission after an await_* is allowed: the late op runs and gets the
+  // next op_index.
   AsyncBatch batch(session_);
   batch.submit(CloudOp::get(0, {"c", "obj"}));
   batch.await_all();
-  batch.cancel_remaining();  // no-op: everything resolved
   const std::size_t late = batch.submit(CloudOp::get(1, {"c", "obj"}));
-  auto c = batch.next();
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->op_index, late);
-  EXPECT_TRUE(c->ok());
-  EXPECT_EQ(c->result.data, payload_);
-}
-
-TEST_F(AsyncBatchTest, DestructorJoinsWedgedTasks) {
-  // A batch abandoned mid-flight (e.g. its scheme threw) must cancel and
-  // join its tasks rather than leaving a pool thread running into freed
-  // buffers. If teardown failed to unwedge the stall, this test would
-  // hang rather than fail.
-  auto* slow = registry_.find("WindowsAzure");
-  std::atomic<bool> stalled{false};
-  slow->set_op_hook([&](cloud::OpKind, const cloud::ObjectKey&) {
-    stalled.store(true);
-    while (!cloud::CancelScope::cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  });
-  {
-    AsyncBatch batch(session_);
-    batch.submit(
-        CloudOp::get(session_.index_of("WindowsAzure"), {"c", "obj"}));
-    while (!stalled.load()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    // Batch destroyed with the op still wedged inside the provider.
-  }
-  slow->set_op_hook(nullptr);
-  EXPECT_EQ(slow->counters().cancelled, 1u);
+  EXPECT_EQ(late, 1u);
+  const auto& c = batch.completion(late);
+  EXPECT_EQ(c.op_index, late);
+  EXPECT_TRUE(c.ok());
+  EXPECT_EQ(c.result.data, payload_);
 }
 
 }  // namespace

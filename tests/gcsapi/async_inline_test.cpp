@@ -1,11 +1,14 @@
-// AsyncBatch inline mode: under a common::VirtualScope the batch executes
-// ops on the submitting thread (no pool handoff), reinstalls the tenant's
-// context at each op's virtual arrival, and stays deterministic — the seam
+// AsyncBatch's one execution model: every op runs on the submitting
+// thread, in submit order; under a common::VirtualScope the batch
+// reinstalls the tenant's context at each op's virtual arrival — the seam
 // that lets the discrete-event engine (sim/) run a million tenants through
 // the unmodified scheme stack.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "cloud/profiles.h"
 #include "common/bytes.h"
@@ -33,28 +36,43 @@ class AsyncInlineTest : public ::testing::Test {
   common::Bytes payload_;
 };
 
-TEST_F(AsyncInlineTest, ScopeAtConstructionSelectsInlineMode) {
-  AsyncBatch plain(session_);
-  EXPECT_FALSE(plain.inline_mode());
-  common::VirtualScope scope({.now = 0, .tenant = 1, .weight = 1.0});
-  AsyncBatch inlined(session_);
-  EXPECT_TRUE(inlined.inline_mode());
-}
-
 TEST_F(AsyncInlineTest, InlineOpsRunOnTheSubmittingThread) {
-  std::thread::id op_thread;
-  registry_.all()[0]->set_op_hook(
-      [&](cloud::OpKind, const cloud::ObjectKey&) {
-        op_thread = std::this_thread::get_id();
-      });
-  common::VirtualScope scope({.now = 0, .tenant = 1, .weight = 1.0});
-  AsyncBatch batch(session_);
-  batch.submit(CloudOp::get(0, {"c", "obj"}));
-  auto completions = batch.await_all(nullptr);
-  registry_.all()[0]->set_op_hook(nullptr);
-  ASSERT_EQ(completions.size(), 1u);
-  ASSERT_TRUE(completions[0].ok());
-  EXPECT_EQ(op_thread, std::this_thread::get_id());
+  // With and without a scope: each op reaches its provider on this thread,
+  // in submit order (two ops to one provider included), before submit()
+  // returns.
+  struct Seen {
+    std::thread::id thread;
+    std::string name;
+  };
+  std::vector<Seen> seen;
+  for (const auto& p : registry_.all()) {
+    p->set_op_hook([&](cloud::OpKind, const cloud::ObjectKey& key) {
+      seen.push_back({std::this_thread::get_id(), key.name});
+    });
+  }
+  const std::vector<std::size_t> targets{2, 0, 3, 0, 1};
+  for (const bool scoped : {false, true}) {
+    seen.clear();
+    std::optional<common::VirtualScope> scope;
+    if (scoped) scope.emplace(common::VirtualContext{0, 1, 1.0});
+    AsyncBatch batch(session_);
+    std::vector<std::string> expected;
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      expected.push_back("k" + std::to_string(i));
+      batch.submit(CloudOp::put(targets[i], {"c", expected.back()},
+                                common::ByteSpan(payload_)));
+      ASSERT_EQ(seen.size(), i + 1) << "op " << i << " ran after submit";
+    }
+    const auto completions = batch.await_all(nullptr);
+    ASSERT_EQ(completions.size(), targets.size());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      EXPECT_TRUE(completions[i].ok());
+      EXPECT_EQ(seen[i].name, expected[i]) << "scoped=" << scoped;
+      EXPECT_EQ(seen[i].thread, std::this_thread::get_id())
+          << "scoped=" << scoped;
+    }
+  }
+  for (const auto& p : registry_.all()) p->set_op_hook(nullptr);
 }
 
 TEST_F(AsyncInlineTest, StartOffsetAdvancesTheReinstalledContext) {
@@ -81,31 +99,6 @@ TEST_F(AsyncInlineTest, StartOffsetAdvancesTheReinstalledContext) {
   registry_.all()[0]->set_op_hook(nullptr);
   EXPECT_EQ(seen_now, kEpoch + kOffset);
   EXPECT_EQ(seen_tenant, 77u);
-}
-
-TEST_F(AsyncInlineTest, InlineAndPooledRunsAgreeOnVirtualLatency) {
-  // Same fleet seed, same ops: the inline engine must report exactly the
-  // virtual latencies the pooled engine reports — inline mode changes the
-  // execution vehicle, never the simulated time.
-  auto run = [](bool inline_mode) {
-    cloud::CloudRegistry registry;
-    cloud::install_standard_four(registry, 7);
-    MultiCloudSession session(registry);
-    session.ensure_container_everywhere("c");
-    for (std::size_t i = 0; i < session.client_count(); ++i) {
-      session.client(i).put({"c", "obj"}, common::patterned(4096, 3));
-    }
-    std::optional<common::VirtualScope> scope;
-    if (inline_mode) scope.emplace(common::VirtualContext{0, 1, 1.0});
-    AsyncBatch batch(session);
-    for (std::size_t i = 0; i < 4; ++i) {
-      batch.submit(CloudOp::get(i, {"c", "obj"}));
-    }
-    BatchStats stats;
-    (void)batch.await_all(&stats);
-    return stats.latency;
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace

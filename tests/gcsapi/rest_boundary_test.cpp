@@ -28,8 +28,8 @@ namespace {
 using cloud::ObjectKey;
 using cloud::OpKind;
 
-/// Every (op, key) seen by the fleet's op hooks. Hooks run on the
-/// session pool's threads, hence the mutex.
+/// Every (op, key) seen by the fleet's op hooks. Hooks run on whichever
+/// thread issues the op, hence the mutex.
 class OpCapture {
  public:
   void install(cloud::CloudRegistry& registry) {

@@ -1,11 +1,10 @@
 // Discrete-event core contracts: dispatch order (time, then submission),
-// cooperative cancellation (including the CancelScope bridge into the
-// provider layer), and virtual-time monotonicity.
+// cancellation (from outside and from inside a running handler), and
+// virtual-time monotonicity.
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "cloud/cancel.h"
 #include "common/clock.h"
 #include "sim/event_queue.h"
 
@@ -131,19 +130,14 @@ TEST(EventQueue, RunHonorsMaxEvents) {
   EXPECT_EQ(q.run(), 1u);
 }
 
-TEST(EventQueue, HandlerRunsUnderItsEventCancelScope) {
-  // While a handler runs, its event's flag is the thread's CancelScope —
-  // the same token SimProvider polls — and it reads "not cancelled" for a
-  // normally dispatched event. Cancelling *another* pending event from
-  // inside the handler must not disturb the installed scope.
-  struct Prober final : EventHandler {
+TEST(EventQueue, HandlerCancelsAnotherPendingEvent) {
+  // A running handler may cancel another pending event: the victim is
+  // skipped, never dispatched.
+  struct Canceller final : EventHandler {
     EventId other = kInvalidEvent;
-    bool saw_uncancelled = false;
     bool cancelled_other = false;
     void on_event(EventQueue& q, common::SimDuration) override {
-      saw_uncancelled = !cloud::CancelScope::cancelled();
       if (other != kInvalidEvent) cancelled_other = q.cancel(other);
-      saw_uncancelled = saw_uncancelled && !cloud::CancelScope::cancelled();
     }
   } p;
   std::vector<int> trace;
@@ -151,13 +145,11 @@ TEST(EventQueue, HandlerRunsUnderItsEventCancelScope) {
   EventQueue q;
   q.schedule_at(10, &p);
   p.other = q.schedule_at(20, &victim);
-  q.run();
-  EXPECT_TRUE(p.saw_uncancelled);
+  EXPECT_EQ(q.run(), 1u);
   EXPECT_TRUE(p.cancelled_other);
   EXPECT_TRUE(trace.empty());
-  EXPECT_FALSE(cloud::CancelScope::cancelled());  // scope popped after run
+  EXPECT_EQ(q.pending(), 0u);
 }
-
 
 TEST(EventQueue, StaleIdOfReusedSlotIsRejected) {
   // Dispatched and cancelled events hand their slab slot back; an id that
@@ -185,36 +177,36 @@ TEST(EventQueue, StaleIdOfReusedSlotIsRejected) {
   EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EventQueue, CancelScopeStaysValidWhileHandlerSchedulesMany) {
-  // The running event's flag is the thread's CancelScope. A handler that
-  // grows the slab by 10^4 entries must still be reading *its* flag: a
-  // self-cancel after the burst is visible through the installed scope
-  // (under ASan a relocated slab would be a use-after-free here).
+TEST(EventQueue, SelfCancelSurvivesSlabGrowthInsideHandler) {
+  // A handler that grows the slab by 10^4 entries and then cancels its
+  // own (still running) event must hit *its* entry: the cancel succeeds,
+  // the running step completes, and every child still dispatches (under
+  // ASan a relocated slab would be a use-after-free here).
   struct Burst final : EventHandler {
     EventId self = kInvalidEvent;
-    bool clean_before = false;
-    bool cancelled_after = false;
+    bool self_cancelled = false;
+    bool finished = false;
     int children = 0;
     void on_event(EventQueue& q, common::SimDuration now) override {
       if (self == kInvalidEvent) {  // a child: just count it
         ++children;
         return;
       }
-      clean_before = !cloud::CancelScope::cancelled();
       const EventId me = self;
       self = kInvalidEvent;
       for (int i = 0; i < 10'000; ++i) q.schedule_at(now + 1 + i % 7, this);
-      EXPECT_TRUE(q.cancel(me));
-      cancelled_after = cloud::CancelScope::cancelled();
+      self_cancelled = q.cancel(me);
+      EXPECT_FALSE(q.cancel(me));  // already cancelled
+      finished = true;
     }
   } burst;
   EventQueue q;
   burst.self = q.schedule_at(5, &burst);
   EXPECT_EQ(q.run(), 10'001u);
-  EXPECT_TRUE(burst.clean_before);
-  EXPECT_TRUE(burst.cancelled_after);
+  EXPECT_TRUE(burst.self_cancelled);
+  EXPECT_TRUE(burst.finished);
   EXPECT_EQ(burst.children, 10'000);
-  EXPECT_FALSE(cloud::CancelScope::cancelled());
+  EXPECT_EQ(q.pending(), 0u);
 }
 
 TEST(EventQueue, PendingCountsAcrossCancels) {
