@@ -18,7 +18,6 @@
 
 #include "bench_util.h"
 #include "common/copy_meter.h"
-#include "gcsapi/rest_codec.h"
 
 using namespace hyrd;
 
@@ -103,19 +102,6 @@ void BM_ProviderRawPut(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_ProviderRawPut)->Range(4 << 10, 4 << 20);
-
-void BM_RestCodecRoundTrip(benchmark::State& state) {
-  const auto body = common::patterned(static_cast<std::size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    const auto req = gcs::encode_op(cloud::OpKind::kPut, {"c", "object-name"},
-                                    body);
-    auto parsed = gcs::parse_request(gcs::serialize(req));
-    benchmark::DoNotOptimize(parsed);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0));
-}
-BENCHMARK(BM_RestCodecRoundTrip)->Range(1 << 10, 1 << 20);
 
 // ---------------------------------------------------------------------------
 // Databus suite (--json mode): copy-meter accounting for the hot paths the

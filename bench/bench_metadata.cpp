@@ -1,4 +1,4 @@
-// Metadata-plane microbench: the sharded, keyspace-routed MetadataStore vs
+// Metadata-plane microbench: the sharded, hash-routed MetadataStore vs
 // the retained legacy single-mutex std::map store (DESIGN.md §14), plus
 // the indexed UpdateLog vs a scan-and-compact baseline.
 //

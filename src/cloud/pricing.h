@@ -70,8 +70,8 @@ struct PriceSchedule {
 
   // Optional full tier ladders; when empty the flat first-tier rates
   // above apply (the paper's methodology).
-  TieredRate storage_tiers;
-  TieredRate egress_tiers;
+  TieredRate storage_tiers{};
+  TieredRate egress_tiers{};
 
   [[nodiscard]] double storage_cost(std::uint64_t bytes_month) const {
     if (!storage_tiers.empty()) return storage_tiers.cost(bytes_month);

@@ -29,7 +29,7 @@
 
 namespace hyrd::common {
 
-/// The stable 64-bit key hash shared by the table, the keyspace ring, and
+/// The stable 64-bit key hash shared by the table, shard routing, and
 /// the write-order stripes: a SplitMix64-style finalizer over the integer
 /// key, or over a string key's fnv1a (fnv1a alone clusters low bits on
 /// short ASCII keys). Never returns 0 — the table's empty-slot sentinel.

@@ -33,45 +33,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  if (n == 1) {
-    // No point bouncing a single index through the queue.
-    fn(0);
-    return;
-  }
-  // One task per index is pure queue/packaged_task overhead once the body
-  // is cheap (byte-level work over many indices). Chunk into a few
-  // contiguous blocks per worker: scheduling cost becomes O(threads)
-  // while load balancing keeps 4 blocks per worker to absorb skew.
-  const std::size_t chunks = std::min(n, workers_.size() * 4);
-  const std::size_t base = n / chunks;
-  const std::size_t rem = n % chunks;
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t end = begin + base + (c < rem ? 1 : 0);
-    futs.push_back(submit([&fn, begin, end] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-    begin = end;
-  }
-  // Every chunk captures `fn` by reference, so this frame must outlive all
-  // of them: drain every future — even after one throws — before leaving,
-  // then rethrow the first failure. Bailing out on the first get() would
-  // both dangle `fn` for the still-running chunks and leave their tasks
-  // racing a destroyed stack frame.
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
 }  // namespace hyrd::common

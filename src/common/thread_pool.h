@@ -40,15 +40,6 @@ class ThreadPool {
     return fut;
   }
 
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Indices are dispatched in contiguous chunks (a few per worker), so
-  /// per-index scheduling overhead is amortized; fn must therefore not
-  /// assume each index runs as its own task. n == 0 returns immediately.
-  /// If fn throws, every chunk still runs to completion (the pool is never
-  /// deadlocked or left running detached work) and the first exception is
-  /// rethrown to the caller; later indices may or may not have executed.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
   void worker_loop();
 

@@ -26,8 +26,8 @@ DepSkyClient::DepSkyClient(gcs::MultiCloudSession& session,
                            std::string data_container)
     // The replication scheme serves reads and recovery; writes are the
     // quorum hooks below.
-    : StorageClientBase(session, data_container,
-                        dist::ReplicationScheme(data_container)),
+    : StorageClient(session, data_container,
+                    dist::ReplicationScheme(data_container)),
       quorum_(session.client_count() - faults_tolerated) {
   targets_.resize(session_.client_count());
   std::iota(targets_.begin(), targets_.end(), 0);

@@ -15,7 +15,7 @@
 
 namespace hyrd::core {
 
-class DepSkyClient final : public StorageClientBase {
+class DepSkyClient final : public StorageClient {
  public:
   explicit DepSkyClient(gcs::MultiCloudSession& session,
                         std::size_t faults_tolerated = 1,

@@ -9,7 +9,7 @@
 
 namespace hyrd::core {
 
-class DuraCloudClient final : public StorageClientBase {
+class DuraCloudClient final : public StorageClient {
  public:
   /// `providers` is the replication pair (or more). Defaults to the two
   /// performance-oriented providers of the standard fleet.

@@ -12,7 +12,7 @@
 namespace hyrd::core {
 
 HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
-    : StorageClientBase(
+    : StorageClient(
           session, config.data_container,
           dist::ReplicationScheme(config.data_container),
           dist::ErasureScheme(config.data_container, config.geometry)),
@@ -257,7 +257,7 @@ dist::WriteResult HyRDClient::update_object(
     // Copy-on-write: dedup must hash the full new content, and shared
     // fragments may never be patched in place. This is the cost the paper
     // warns about ("applying data deduplication in HyRD is not easy").
-    dist::ReadResult whole = StorageClientBase::read_object(m);
+    dist::ReadResult whole = StorageClient::read_object(m);
     dist::WriteResult result;
     if (!whole.status.is_ok()) {
       result.status = whole.status;
@@ -285,7 +285,7 @@ dist::WriteResult HyRDClient::update_object(
       replicated && offset == 0 && data.size() == m.size
           ? replication_->write(session_, m.path, data, replica_targets_,
                                 &unreachable)
-          : StorageClientBase::update_object(m, offset, data, unreachable);
+          : StorageClient::update_object(m, offset, data, unreachable);
   if (result.status.is_ok()) drop_hot_copy(m.path, /*remove_remote=*/true);
   return result;
 }
@@ -295,7 +295,7 @@ dist::RemoveResult HyRDClient::remove_object(const meta::FileMeta& m) {
       !config_.dedup_enabled || dedup_.unlink(m.path);
   dist::RemoveResult result;
   if (delete_fragments) {
-    result = StorageClientBase::remove_object(m);
+    result = StorageClient::remove_object(m);
   } else {
     result.status = common::Status::ok();
   }

@@ -23,7 +23,7 @@
 
 namespace hyrd::core {
 
-class HyRDClient final : public StorageClientBase {
+class HyRDClient final : public StorageClient {
  public:
   /// Creates containers everywhere and runs the evaluator probes (their
   /// virtual time and cost are charged: the paper's Evaluation module

@@ -14,7 +14,7 @@ namespace hyrd::core {
 
 NCCloudClient::NCCloudClient(gcs::MultiCloudSession& session,
                              std::uint64_t seed, std::string data_container)
-    : StorageClientBase(session, std::move(data_container), std::nullopt),
+    : StorageClient(session, std::move(data_container), std::nullopt),
       code_(session.client_count(), 2),
       rng_(seed) {
   targets_.resize(session_.client_count());
@@ -194,7 +194,7 @@ dist::RemoveResult NCCloudClient::remove_object(const meta::FileMeta& m) {
     std::lock_guard lock(coeff_mu_);
     coefficients_.erase(m.path);
   }
-  return StorageClientBase::remove_object(m);
+  return StorageClient::remove_object(m);
 }
 
 common::SimDuration NCCloudClient::on_provider_restored(
@@ -202,88 +202,96 @@ common::SimDuration NCCloudClient::on_provider_restored(
   const std::size_t node = session_.index_of(provider);
   if (node == static_cast<std::size_t>(-1)) return 0;
   common::SimDuration latency = 0;
-  const std::size_t cpn = code_.chunks_per_node();
 
-  const auto pending = log_.pending_for(provider);
-  std::uint64_t max_seq = 0;
-  // Collect the distinct data paths needing repair; metadata blocks are
-  // regenerated directly.
-  std::set<std::string> repair_paths;
-  for (const auto& rec : pending) {
-    max_seq = std::max(max_seq, rec.seq);
+  // Records replay in seq order and the replay stops at the first one
+  // that fails. The log is truncated through the last record applied, so
+  // a later restore resumes at the failed record.
+  std::uint64_t applied = 0;
+  std::set<std::string> repaired;
+  for (const auto& rec : log_.pending_for(provider)) {
+    common::Status status = common::Status::ok();
     if (auto dir = parse_meta_block_path(rec.path); dir.has_value()) {
+      // Metadata blocks are regenerated directly from client state.
       const common::Bytes block = store_.serialize_directory(*dir);
       auto r = session_.client(node).put({container_, rec.object_name},
                                          block);
       latency += r.latency;
-      continue;
-    }
-    if (rec.action == meta::LogAction::kRemove) {
+      status = r.status;
+    } else if (rec.action == meta::LogAction::kRemove) {
       auto r = session_.client(node).remove({container_, rec.object_name});
       latency += r.latency;
-      continue;
+      // NotFound is fine: the object never reached the provider.
+      if (r.status.code() != common::StatusCode::kNotFound) status = r.status;
+    } else if (!repaired.contains(rec.path)) {
+      // One repair regenerates all of the node's chunks of the file.
+      status = repair_node(rec.path, node, latency);
+      repaired.insert(rec.path);
     }
-    repair_paths.insert(rec.path);
+    if (!status.is_ok()) break;
+    applied = rec.seq;
   }
-
-  for (const auto& path : repair_paths) {
-    const auto m = store_.lookup(path);
-    if (!m.has_value()) continue;  // deleted meanwhile
-    erasure::Matrix coeffs;
-    {
-      std::lock_guard lock(coeff_mu_);
-      auto it = coefficients_.find(path);
-      if (it == coefficients_.end()) continue;
-      coeffs = it->second;
-    }
-
-    // Plan the functional repair, download exactly the planned chunks
-    // (one per survivor — the NCCloud bandwidth saving), regenerate, push.
-    erasure::Fmsr::RepairPlan plan;
-    {
-      std::lock_guard lock(coeff_mu_);
-      auto planned = code_.plan_repair(coeffs, node, rng_);
-      if (!planned.is_ok()) continue;
-      plan = std::move(planned).value();
-    }
-    gcs::AsyncBatch batch(session_);
-    for (std::size_t idx : plan.survivor_chunk_indices) {
-      batch.submit(gcs::CloudOp::get(
-          idx / cpn, {container_, m->locations[idx].object_name}));
-    }
-    gcs::BatchStats stats;
-    auto gets = batch.await_all(&stats);
-    latency += stats.latency;
-    std::vector<common::Bytes> survivor_chunks;
-    bool ok = true;
-    for (auto& g : gets) {
-      if (!g.ok()) {
-        ok = false;
-        break;
-      }
-      survivor_chunks.push_back(std::move(g.result.data).into_bytes());
-    }
-    if (!ok) continue;
-
-    const auto new_chunks = code_.execute_repair(plan, survivor_chunks);
-    meta::FileMeta updated = *m;
-    common::SimDuration push_latency = 0;
-    for (std::size_t c = 0; c < cpn; ++c) {
-      const std::size_t idx = node * cpn + c;
-      auto r = session_.client(node).put(
-          {container_, m->locations[idx].object_name}, new_chunks[c]);
-      push_latency = std::max(push_latency, r.latency);
-      updated.fragment_crcs[idx] = common::crc32c(new_chunks[c]);
-    }
-    latency += push_latency;
-    store_.upsert(updated);
-    {
-      std::lock_guard lock(coeff_mu_);
-      coefficients_[path] = plan.new_coefficients;
-    }
-  }
-  log_.truncate(provider, max_seq);
+  if (applied > 0) log_.truncate(provider, applied);
   return latency;
+}
+
+common::Status NCCloudClient::repair_node(const std::string& path,
+                                          std::size_t node,
+                                          common::SimDuration& latency) {
+  const auto m = store_.lookup(path);
+  if (!m.has_value()) return common::Status::ok();  // deleted meanwhile
+  const std::size_t cpn = code_.chunks_per_node();
+
+  // Plan the functional repair, download exactly the planned chunks
+  // (one per survivor — the NCCloud bandwidth saving), regenerate, push.
+  erasure::Fmsr::RepairPlan plan;
+  {
+    std::lock_guard lock(coeff_mu_);
+    const auto it = coefficients_.find(path);
+    if (it == coefficients_.end()) {
+      return common::failed_precondition("no coefficients for " + path);
+    }
+    auto planned = code_.plan_repair(it->second, node, rng_);
+    if (!planned.is_ok()) return planned.status();
+    plan = std::move(planned).value();
+  }
+  gcs::AsyncBatch batch(session_);
+  for (std::size_t idx : plan.survivor_chunk_indices) {
+    batch.submit(gcs::CloudOp::get(
+        idx / cpn, {container_, m->locations[idx].object_name}));
+  }
+  gcs::BatchStats stats;
+  auto gets = batch.await_all(&stats);
+  latency += stats.latency;
+  std::vector<common::Bytes> survivor_chunks;
+  for (auto& g : gets) {
+    if (!g.ok()) return g.result.status;
+    survivor_chunks.push_back(std::move(g.result.data).into_bytes());
+  }
+
+  const auto new_chunks = code_.execute_repair(plan, survivor_chunks);
+  meta::FileMeta updated = *m;
+  common::SimDuration push_latency = 0;
+  for (std::size_t c = 0; c < cpn; ++c) {
+    const std::size_t idx = node * cpn + c;
+    auto r = session_.client(node).put(
+        {container_, m->locations[idx].object_name}, new_chunks[c]);
+    push_latency = std::max(push_latency, r.latency);
+    if (!r.ok()) {
+      latency += push_latency;
+      return r.status;
+    }
+    updated.fragment_crcs[idx] = common::crc32c(new_chunks[c]);
+  }
+  latency += push_latency;
+  // Committed only once every chunk of the node landed: a partial push
+  // leaves the old CRCs and coefficients, which still decode from the
+  // surviving nodes.
+  store_.upsert(updated);
+  {
+    std::lock_guard lock(coeff_mu_);
+    coefficients_[path] = plan.new_coefficients;
+  }
+  return common::Status::ok();
 }
 
 }  // namespace hyrd::core

@@ -17,7 +17,7 @@
 
 namespace hyrd::core {
 
-class NCCloudClient final : public StorageClientBase {
+class NCCloudClient final : public StorageClient {
  public:
   explicit NCCloudClient(gcs::MultiCloudSession& session,
                          std::uint64_t seed = 2012,
@@ -52,6 +52,11 @@ class NCCloudClient final : public StorageClientBase {
  private:
   [[nodiscard]] std::string chunk_name(const std::string& path,
                                        std::size_t index) const;
+  /// Regenerates `node`'s chunks of `path` from one chunk per survivor
+  /// and pushes them, adding the virtual time to `latency`. The new CRCs
+  /// and coefficients are committed only after every push landed.
+  common::Status repair_node(const std::string& path, std::size_t node,
+                             common::SimDuration& latency);
 
   erasure::Fmsr code_;
   common::Xoshiro256 rng_;

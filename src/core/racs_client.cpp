@@ -9,9 +9,9 @@ RACSClient::RACSClient(gcs::MultiCloudSession& session,
                        std::string data_container)
     // RACS has no evaluator tracking provider availability; degraded
     // reads discover the outage per request (two-round reconstruction).
-    : StorageClientBase(session, data_container, std::nullopt,
-                        dist::ErasureScheme(data_container, geometry,
-                                            /*outage_aware=*/false)) {
+    : StorageClient(session, data_container, std::nullopt,
+                    dist::ErasureScheme(data_container, geometry,
+                                        /*outage_aware=*/false)) {
   (void)session_.ensure_container_everywhere(container_);
 }
 

@@ -13,7 +13,7 @@
 
 namespace hyrd::core {
 
-class RACSClient final : public StorageClientBase {
+class RACSClient final : public StorageClient {
  public:
   explicit RACSClient(gcs::MultiCloudSession& session,
                       erasure::StripeGeometry geometry = {.k = 3, .m = 1},

@@ -8,7 +8,7 @@
 
 namespace hyrd::core {
 
-class SingleCloudClient final : public StorageClientBase {
+class SingleCloudClient final : public StorageClient {
  public:
   SingleCloudClient(gcs::MultiCloudSession& session, std::string provider,
                     std::string data_container = "single-data");

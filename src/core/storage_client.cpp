@@ -30,7 +30,7 @@ void emit_flush_span(common::SimDuration dur, std::size_t attempted,
 }
 }  // namespace
 
-// --- Cache-aware NVI layer ---
+// --- Cache layer ---
 
 bool StorageClient::should_absorb(std::uint64_t size) const {
   return cache_ != nullptr && cache_->write_back_active() &&
@@ -44,7 +44,13 @@ dist::WriteResult StorageClient::put(const std::string& path,
   if (should_absorb(data.size())) return absorb_put(path, std::move(data));
   dist::WriteResult result;
   {
-    const std::lock_guard lock(path_write_mu(path));
+    // Overwrites of one path are serialized end-to-end (fragment writes,
+    // metadata upsert, metadata persist). Without this, two concurrent
+    // writers can land on the scheme's replicas in different orders —
+    // object names are path-derived, not versioned — leaving one replica's
+    // bytes disagreeing with the winning metadata CRC, which a later
+    // degraded read (other replicas offline) surfaces as data loss.
+    const std::lock_guard lock(store_.write_order_mu(path));
     // A large write supersedes any still-dirty small incarnation of the
     // path (it was never observable remotely) and stales the read copy.
     if (cache_ != nullptr && cache_->config().enabled) cache_->invalidate(path);
@@ -60,7 +66,7 @@ dist::WriteResult StorageClient::absorb_put(const std::string& path,
   {
     // Same-path ordering with in-flight flushes/writes; own() because a
     // borrowed span dies with the caller while the dirty entry lives on.
-    const std::lock_guard lock(path_write_mu(path));
+    const std::lock_guard lock(store_.write_order_mu(path));
     outcome = cache_->absorb(path, std::move(data).own());
   }
   dist::WriteResult result;
@@ -127,7 +133,7 @@ dist::RemoveResult StorageClient::remove(const std::string& path) {
   if (cache_ != nullptr && cache_->config().enabled) {
     const bool was_dirty = cache_->drop_dirty(path);
     cache_->invalidate_read(path);
-    if (was_dirty && !has_remote(path)) {
+    if (was_dirty && !store_.lookup(path).has_value()) {
       // The object never reached a provider: dropping the dirty entry IS
       // the removal.
       dist::RemoveResult result;
@@ -179,7 +185,9 @@ StorageClient::FlushResult StorageClient::run_flush_group(
   // put()s never deadlock).
   std::vector<std::mutex*> stripes;
   stripes.reserve(entries.size());
-  for (const auto& e : entries) stripes.push_back(&path_write_mu(e.path));
+  for (const auto& e : entries) {
+    stripes.push_back(&store_.write_order_mu(e.path));
+  }
   std::sort(stripes.begin(), stripes.end());
   stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
   for (auto* mu : stripes) mu->lock();
@@ -268,9 +276,9 @@ void StorageClient::note_remove(common::SimDuration latency, bool ok) {
   if (!ok) ++stats_.failed_ops;
 }
 
-// --- StorageClientBase: the op skeleton ---
+// --- The op skeleton ---
 
-StorageClientBase::StorageClientBase(
+StorageClient::StorageClient(
     gcs::MultiCloudSession& session, std::string container,
     std::optional<dist::ReplicationScheme> replication,
     std::optional<dist::ErasureScheme> erasure)
@@ -280,9 +288,7 @@ StorageClientBase::StorageClientBase(
       erasure_(std::move(erasure)),
       recovery_(session, store_, log_,
                 replication_ ? &*replication_ : nullptr,
-                erasure_ ? &*erasure_ : nullptr) {
-  log_.bind_keyspace(&store_.keyspace());
-}
+                erasure_ ? &*erasure_ : nullptr) {}
 
 namespace {
 /// The one metadata lookup of get/update/remove; a miss sets `status`.
@@ -295,15 +301,15 @@ std::optional<meta::FileMeta> find_file(const meta::MetadataStore& store,
 }
 }  // namespace
 
-void StorageClientBase::commit(dist::WriteResult& result,
-                               const std::vector<std::string>& unreachable) {
+void StorageClient::commit(dist::WriteResult& result,
+                           const std::vector<std::string>& unreachable) {
   if (!result.status.is_ok()) return;
   upsert_and_log(result, unreachable);
   result.latency += persist_metadata(result.meta.directory());
 }
 
-dist::WriteResult StorageClientBase::do_put(const std::string& path,
-                                            common::Buffer data) {
+dist::WriteResult StorageClient::do_put(const std::string& path,
+                                        common::Buffer data) {
   std::vector<std::string> unreachable;
   dist::WriteResult result = write_object(path, std::move(data), unreachable);
   commit(result, unreachable);
@@ -311,7 +317,7 @@ dist::WriteResult StorageClientBase::do_put(const std::string& path,
   return result;
 }
 
-dist::ReadResult StorageClientBase::do_get(const std::string& path) {
+dist::ReadResult StorageClient::do_get(const std::string& path) {
   dist::ReadResult result;
   if (const auto m = find_file(store_, path, result.status)) {
     result = read_object(*m);
@@ -320,9 +326,9 @@ dist::ReadResult StorageClientBase::do_get(const std::string& path) {
   return result;
 }
 
-dist::WriteResult StorageClientBase::do_update(const std::string& path,
-                                               std::uint64_t offset,
-                                               common::ByteSpan data) {
+dist::WriteResult StorageClient::do_update(const std::string& path,
+                                           std::uint64_t offset,
+                                           common::ByteSpan data) {
   dist::WriteResult result;
   if (const auto m = find_file(store_, path, result.status)) {
     if (!common::range_within(offset, data.size(), m->size)) {
@@ -337,7 +343,7 @@ dist::WriteResult StorageClientBase::do_update(const std::string& path,
   return result;
 }
 
-dist::RemoveResult StorageClientBase::do_remove(const std::string& path) {
+dist::RemoveResult StorageClient::do_remove(const std::string& path) {
   dist::RemoveResult result;
   if (const auto m = find_file(store_, path, result.status)) {
     result = remove_object(*m);
@@ -348,12 +354,12 @@ dist::RemoveResult StorageClientBase::do_remove(const std::string& path) {
   return result;
 }
 
-common::SimDuration StorageClientBase::on_provider_restored(
+common::SimDuration StorageClient::on_provider_restored(
     const std::string& provider) {
   return recovery_.resync(provider).latency;
 }
 
-dist::WriteResult StorageClientBase::write_object(
+dist::WriteResult StorageClient::write_object(
     const std::string& path, common::Buffer data,
     std::vector<std::string>& unreachable) {
   if (erasure_) {
@@ -364,13 +370,13 @@ dist::WriteResult StorageClientBase::write_object(
                              &unreachable);
 }
 
-dist::ReadResult StorageClientBase::read_object(const meta::FileMeta& m) {
+dist::ReadResult StorageClient::read_object(const meta::FileMeta& m) {
   return m.redundancy == meta::RedundancyKind::kErasure
              ? erasure_->read(session_, m)
              : replication_->read(session_, m);
 }
 
-dist::WriteResult StorageClientBase::update_object(
+dist::WriteResult StorageClient::update_object(
     const meta::FileMeta& m, std::uint64_t offset, common::ByteSpan data,
     std::vector<std::string>& unreachable) {
   if (m.redundancy == meta::RedundancyKind::kErasure) {
@@ -383,13 +389,13 @@ dist::WriteResult StorageClientBase::update_object(
   return replication_->update_range(session_, m, offset, data, &unreachable);
 }
 
-dist::RemoveResult StorageClientBase::remove_object(const meta::FileMeta& m) {
+dist::RemoveResult StorageClient::remove_object(const meta::FileMeta& m) {
   auto result = dist::remove_fragments(session_, container_, m);
   log_unreachable(result.unreachable_providers, m, meta::LogAction::kRemove);
   return result;
 }
 
-common::SimDuration StorageClientBase::persist_metadata(
+common::SimDuration StorageClient::persist_metadata(
     const std::string& dir) {
   std::vector<std::string> unreachable;
   auto r = write_object(meta_block_path(dir),
@@ -399,13 +405,13 @@ common::SimDuration StorageClientBase::persist_metadata(
   return r.latency;
 }
 
-void StorageClientBase::upsert_and_log(
+void StorageClient::upsert_and_log(
     dist::WriteResult& result, const std::vector<std::string>& unreachable) {
   store_.upsert_versioned(result.meta);
   log_unreachable(unreachable, result.meta, meta::LogAction::kPut);
 }
 
-void StorageClientBase::log_unreachable(
+void StorageClient::log_unreachable(
     const std::vector<std::string>& providers, const meta::FileMeta& m,
     meta::LogAction action) {
   if (providers.empty()) return;
@@ -417,7 +423,7 @@ void StorageClientBase::log_unreachable(
   }
 }
 
-common::SimDuration StorageClientBase::replicate_block(
+common::SimDuration StorageClient::replicate_block(
     const std::string& dir, common::ByteSpan block,
     const std::string& container, const std::vector<std::size_t>& targets) {
   const std::string object = meta_block_object_name(dir);
@@ -436,9 +442,9 @@ common::SimDuration StorageClientBase::replicate_block(
   return stats.latency;
 }
 
-// --- StorageClientBase: local metadata ---
+// --- Local metadata ---
 
-std::optional<meta::FileMeta> StorageClientBase::stat(
+std::optional<meta::FileMeta> StorageClient::stat(
     const std::string& path) const {
   // A dirty (absorbed, unflushed) path is visible to stat with its newest
   // size/CRC: the cache is the freshest version of the object.
@@ -458,7 +464,7 @@ std::optional<meta::FileMeta> StorageClientBase::stat(
   return store_.lookup(path);
 }
 
-std::vector<std::string> StorageClientBase::list() const {
+std::vector<std::string> StorageClient::list() const {
   // Synthetic metadata-block entries (used by schemes that persist their
   // directory blocks through the normal write path) are not user files.
   std::vector<std::string> out;
@@ -476,11 +482,11 @@ std::vector<std::string> StorageClientBase::list() const {
   return out;
 }
 
-std::string StorageClientBase::meta_block_path(const std::string& dir) {
+std::string StorageClient::meta_block_path(const std::string& dir) {
   return std::string(kMetaPathPrefix) + dir;
 }
 
-std::string StorageClientBase::meta_block_object_name(const std::string& dir) {
+std::string StorageClient::meta_block_object_name(const std::string& dir) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "md.%016llx",
                 static_cast<unsigned long long>(
@@ -488,7 +494,7 @@ std::string StorageClientBase::meta_block_object_name(const std::string& dir) {
   return buf;
 }
 
-std::optional<std::string> StorageClientBase::parse_meta_block_path(
+std::optional<std::string> StorageClient::parse_meta_block_path(
     const std::string& path) {
   if (path.starts_with(kMetaPathPrefix)) {
     return path.substr(kMetaPathPrefix.size());

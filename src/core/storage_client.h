@@ -1,19 +1,30 @@
 // StorageClient: the uniform client-facing API every evaluated scheme
 // implements — HyRD and the five baselines (single cloud, DuraCloud,
 // RACS, DepSky, NCCloud). Benchmarks drive all schemes through this
-// interface so their latency/cost numbers are directly comparable.
+// class so their latency/cost numbers are directly comparable.
 //
-// Every public operation is a non-virtual interface (NVI) over the
-// scheme's do_* hook. The NVI layer owns two cross-cutting concerns:
-//  * same-path write ordering (striped path_write_mu, see below), and
+// Every public operation wraps the shared op skeleton (the do_* calls,
+// DESIGN.md §3a) in two cross-cutting concerns:
+//  * same-path write ordering (the metadata store's write-order stripes),
+//    and
 //  * the optional client cache (cache::ClientCache): small replicated
 //    PUTs are absorbed into a bounded write-back FIFO and flushed in
 //    group-commit batches; GETs consult the dirty set and a segmented-LRU
 //    read cache before touching a provider. Disabled (the default) the
-//    NVI paths collapse to the pre-cache behavior exactly.
+//    public paths collapse to the skeleton exactly.
+//
+// The skeleton itself is written once:
+//
+//   put     write_object → upsert → log unreachable fragments → persist
+//   get     lookup → not-found → read_object
+//   update  lookup → not-found → range check → update_object → (as put)
+//   remove  lookup → not-found → remove_object → erase → persist
+//
+// and every path ends in the matching note_*. A client supplies only the
+// scheme hooks that differ from the defaults, which run the scheme it
+// holds (replication or erasure) on placement(path).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,8 +34,6 @@
 #include <vector>
 
 #include "cache/client_cache.h"
-#include "common/checksum.h"
-
 #include "common/stats.h"
 #include "dist/erasure_scheme.h"
 #include "dist/recovery.h"
@@ -56,6 +65,9 @@ struct ClientStats {
 class StorageClient {
  public:
   virtual ~StorageClient() = default;
+
+  StorageClient(const StorageClient&) = delete;
+  StorageClient& operator=(const StorageClient&) = delete;
 
   [[nodiscard]] virtual std::string name() const = 0;
 
@@ -107,16 +119,28 @@ class StorageClient {
 
   /// Client-side metadata lookup (served from the in-memory store; the
   /// paper loads metadata blocks into client memory before file access).
-  [[nodiscard]] virtual std::optional<meta::FileMeta> stat(
-      const std::string& path) const = 0;
+  [[nodiscard]] std::optional<meta::FileMeta> stat(
+      const std::string& path) const;
 
-  [[nodiscard]] virtual std::vector<std::string> list() const = 0;
+  [[nodiscard]] std::vector<std::string> list() const;
 
-  /// Notification that a provider finished an outage and is back online;
-  /// schemes with update logs run their consistency update now. Returns
-  /// the virtual time the resync took.
+  /// Notification that a provider finished an outage and is back online:
+  /// replays the update log against it. Returns the virtual time the
+  /// resync took.
   virtual common::SimDuration on_provider_restored(
-      const std::string& provider) = 0;
+      const std::string& provider);
+
+  [[nodiscard]] const meta::MetadataStore& metadata() const { return store_; }
+  [[nodiscard]] const meta::UpdateLog& update_log() const { return log_; }
+
+  /// Synthetic logical path used in the update log for a directory's
+  /// metadata block.
+  static std::string meta_block_path(const std::string& dir);
+  /// Provider-side object name for a directory's metadata block.
+  static std::string meta_block_object_name(const std::string& dir);
+  /// True if `path` is a synthetic metadata-block path; returns the dir.
+  static std::optional<std::string> parse_meta_block_path(
+      const std::string& path);
 
   // --- Client cache control ---
 
@@ -149,147 +173,18 @@ class StorageClient {
   void reset_stats();
 
  protected:
-  virtual dist::WriteResult do_put(const std::string& path,
-                                   common::Buffer data) = 0;
-  virtual dist::ReadResult do_get(const std::string& path) = 0;
-  virtual dist::WriteResult do_update(const std::string& path,
-                                      std::uint64_t offset,
-                                      common::ByteSpan data) = 0;
-  virtual dist::RemoveResult do_remove(const std::string& path) = 0;
-
-  /// Writes at or above this size bypass the write-back cache (they are
-  /// the scheme's large/erasure traffic). Schemes with a size classifier
-  /// override this to keep absorption aligned with classification; the
-  /// cache's own max_object_bytes cap applies in addition.
-  [[nodiscard]] virtual std::uint64_t write_back_threshold() const {
-    return UINT64_MAX;
-  }
-
-  /// Read-cache hit notification (data served with zero provider I/O).
-  /// `hits` counts lookups since insertion; HyRD drives hot promotion off
-  /// it instead of the raw per-path read-count map.
-  virtual void on_cache_hit(const std::string& path,
-                            const common::Buffer& data, std::uint32_t hits) {
-    (void)path;
-    (void)data;
-    (void)hits;
-  }
-
-  /// True when `path` exists remotely (its metadata is known). Lets the
-  /// NVI remove() short-circuit removal of a never-flushed object.
-  [[nodiscard]] virtual bool has_remote(const std::string& path) const {
-    (void)path;
-    return true;
-  }
-
-  /// Hook for schemes to wire the adaptive-threshold cost model into a
-  /// freshly configured cache (see cache::CostModel). Default: none.
-  virtual void wire_adaptive(cache::ClientCache& cache) { (void)cache; }
-
-  struct FlushResult {
-    common::SimDuration latency = 0;
-    std::size_t flushed = 0;
-    std::uint64_t flushed_bytes = 0;
-    std::vector<cache::DirtyEntry> failed;  // restored to the dirty set
-  };
-
-  /// Writes a group of dirty entries out. The caller already holds every
-  /// involved path-write stripe. The default issues one do_put per entry
-  /// and charges the *slowest* entry's latency: under a VirtualScope all
-  /// entries are issued at the same virtual instant, so the batch
-  /// overlaps into one round trip — exactly the group-commit model.
-  /// Schemes override to batch harder (HyRD: one AsyncBatch for the
-  /// whole group per provider, see ReplicationScheme::write_many).
-  virtual FlushResult flush_entries(std::vector<cache::DirtyEntry> entries);
-
-  /// Overwrites of one path are serialized end-to-end (fragment writes,
-  /// metadata upsert, metadata persist). Without this, two concurrent
-  /// writers can land on the scheme's replicas in different orders —
-  /// object names are path-derived, not versioned — leaving one replica's
-  /// bytes disagreeing with the winning metadata CRC, which a later
-  /// degraded read (other replicas offline) surfaces as data loss.
-  /// Striped so distinct paths keep their write parallelism. Clients with
-  /// a sharded MetadataStore override this to fold the stripes into the
-  /// keyspace-routed shard layout (one stripe set per shard), so write
-  /// ordering and metadata ownership agree on which shard a path lives in.
-  [[nodiscard]] virtual std::mutex& path_write_mu(const std::string& path) {
-    return path_write_mu_[common::fnv1a(std::string_view(path)) %
-                          kPathWriteLocks];
-  }
-
-  void note_put(common::SimDuration latency, bool ok);
-  void note_get(common::SimDuration latency, bool ok, bool degraded);
-  void note_update(common::SimDuration latency, bool ok);
-  void note_remove(common::SimDuration latency, bool ok);
-
- private:
-  [[nodiscard]] bool should_absorb(std::uint64_t size) const;
-  dist::WriteResult absorb_put(const std::string& path, common::Buffer data);
-  /// Locks the involved stripes in address order, flushes, restores
-  /// failures. Returns the flush result.
-  FlushResult run_flush_group(std::vector<cache::DirtyEntry> entries,
-                              bool forced);
-  /// Takes one group from the cache under flush_mu_ and flushes it.
-  FlushResult run_flush_group(bool forced);
-  /// Coherence flush of a single dirty path (read/update/remove paths).
-  common::SimDuration flush_path(const std::string& path);
-
-  static constexpr std::size_t kPathWriteLocks = 64;
-  std::array<std::mutex, kPathWriteLocks> path_write_mu_;
-  mutable std::mutex stats_mu_;
-  ClientStats stats_;
-  std::unique_ptr<cache::ClientCache> cache_;
-  /// Serializes flush rounds: take-order must equal flush-order so a
-  /// path's older incarnation can never land after a newer one.
-  std::mutex flush_mu_;
-};
-
-/// The op skeleton every scheme client shares (DESIGN.md §3a). put, get,
-/// update and remove are written once here:
-///
-///   put     write_object → upsert → log unreachable fragments → persist
-///   get     lookup → not-found → read_object
-///   update  lookup → not-found → range check → update_object → (as put)
-///   remove  lookup → not-found → remove_object → erase → persist
-///
-/// and every path ends in the matching note_*. A client supplies only the
-/// hooks below that differ from the defaults, which run the scheme it
-/// holds (replication or erasure) on placement(path).
-class StorageClientBase : public StorageClient {
- public:
-  [[nodiscard]] std::optional<meta::FileMeta> stat(
-      const std::string& path) const override;
-  [[nodiscard]] std::vector<std::string> list() const override;
-
-  /// Replays the update log against the returned provider.
-  common::SimDuration on_provider_restored(
-      const std::string& provider) override;
-
-  [[nodiscard]] const meta::MetadataStore& metadata() const { return store_; }
-  [[nodiscard]] const meta::UpdateLog& update_log() const { return log_; }
-
-  /// Synthetic logical path used in the update log for a directory's
-  /// metadata block.
-  static std::string meta_block_path(const std::string& dir);
-  /// Provider-side object name for a directory's metadata block.
-  static std::string meta_block_object_name(const std::string& dir);
-  /// True if `path` is a synthetic metadata-block path; returns the dir.
-  static std::optional<std::string> parse_meta_block_path(
-      const std::string& path);
-
- protected:
   /// `container` holds the client's data objects. A client passes the
   /// schemes it writes with and nullopt for the other kind.
-  StorageClientBase(gcs::MultiCloudSession& session, std::string container,
-                    std::optional<dist::ReplicationScheme> replication,
-                    std::optional<dist::ErasureScheme> erasure = std::nullopt);
+  StorageClient(gcs::MultiCloudSession& session, std::string container,
+                std::optional<dist::ReplicationScheme> replication,
+                std::optional<dist::ErasureScheme> erasure = std::nullopt);
 
-  dist::WriteResult do_put(const std::string& path,
-                           common::Buffer data) final;
-  dist::ReadResult do_get(const std::string& path) final;
+  // --- The op skeleton, below the cache ---
+  dist::WriteResult do_put(const std::string& path, common::Buffer data);
+  dist::ReadResult do_get(const std::string& path);
   dist::WriteResult do_update(const std::string& path, std::uint64_t offset,
-                              common::ByteSpan data) final;
-  dist::RemoveResult do_remove(const std::string& path) final;
+                              common::ByteSpan data);
+  dist::RemoveResult do_remove(const std::string& path);
 
   // --- Scheme hooks ---
 
@@ -320,6 +215,46 @@ class StorageClientBase : public StorageClient {
   /// synthetic block path, committed like a user file.
   virtual common::SimDuration persist_metadata(const std::string& dir);
 
+  // --- Cache hooks ---
+
+  /// Writes at or above this size bypass the write-back cache (they are
+  /// the scheme's large/erasure traffic). Schemes with a size classifier
+  /// override this to keep absorption aligned with classification; the
+  /// cache's own max_object_bytes cap applies in addition.
+  [[nodiscard]] virtual std::uint64_t write_back_threshold() const {
+    return UINT64_MAX;
+  }
+
+  /// Read-cache hit notification (data served with zero provider I/O).
+  /// `hits` counts lookups since insertion; HyRD drives hot promotion off
+  /// it instead of the raw per-path read-count map.
+  virtual void on_cache_hit(const std::string& path,
+                            const common::Buffer& data, std::uint32_t hits) {
+    (void)path;
+    (void)data;
+    (void)hits;
+  }
+
+  /// Hook for schemes to wire the adaptive-threshold cost model into a
+  /// freshly configured cache (see cache::CostModel). Default: none.
+  virtual void wire_adaptive(cache::ClientCache& cache) { (void)cache; }
+
+  struct FlushResult {
+    common::SimDuration latency = 0;
+    std::size_t flushed = 0;
+    std::uint64_t flushed_bytes = 0;
+    std::vector<cache::DirtyEntry> failed;  // restored to the dirty set
+  };
+
+  /// Writes a group of dirty entries out. The caller already holds every
+  /// involved write-order stripe. The default issues one do_put per entry
+  /// and charges the *slowest* entry's latency: under a VirtualScope all
+  /// entries are issued at the same virtual instant, so the batch
+  /// overlaps into one round trip — exactly the group-commit model.
+  /// Schemes override to batch harder (HyRD: one AsyncBatch for the
+  /// whole group per provider, see ReplicationScheme::write_many).
+  virtual FlushResult flush_entries(std::vector<cache::DirtyEntry> entries);
+
   // --- Shared tail helpers ---
 
   /// Upserts a landed write's meta and logs its unreachable fragments.
@@ -336,15 +271,10 @@ class StorageClientBase : public StorageClient {
                                       const std::string& container,
                                       const std::vector<std::size_t>& targets);
 
-  /// Same-path write ordering routed through the store's keyspace: the
-  /// stripe lives on the shard that owns the path's directory.
-  [[nodiscard]] std::mutex& path_write_mu(const std::string& path) override {
-    return store_.write_order_mu(path);
-  }
-
-  [[nodiscard]] bool has_remote(const std::string& path) const override {
-    return store_.lookup(path).has_value();
-  }
+  void note_put(common::SimDuration latency, bool ok);
+  void note_get(common::SimDuration latency, bool ok, bool degraded);
+  void note_update(common::SimDuration latency, bool ok);
+  void note_remove(common::SimDuration latency, bool ok);
 
   gcs::MultiCloudSession& session_;
   meta::MetadataStore store_;
@@ -359,6 +289,24 @@ class StorageClientBase : public StorageClient {
   /// Runs the write tail: upsert_and_log, then persists the directory.
   void commit(dist::WriteResult& result,
               const std::vector<std::string>& unreachable);
+
+  [[nodiscard]] bool should_absorb(std::uint64_t size) const;
+  dist::WriteResult absorb_put(const std::string& path, common::Buffer data);
+  /// Locks the involved stripes in address order, flushes, restores
+  /// failures. Returns the flush result.
+  FlushResult run_flush_group(std::vector<cache::DirtyEntry> entries,
+                              bool forced);
+  /// Takes one group from the cache under flush_mu_ and flushes it.
+  FlushResult run_flush_group(bool forced);
+  /// Coherence flush of a single dirty path (read/update/remove paths).
+  common::SimDuration flush_path(const std::string& path);
+
+  mutable std::mutex stats_mu_;
+  ClientStats stats_;
+  std::unique_ptr<cache::ClientCache> cache_;
+  /// Serializes flush rounds: take-order must equal flush-order so a
+  /// path's older incarnation can never land after a newer one.
+  std::mutex flush_mu_;
 };
 
 }  // namespace hyrd::core

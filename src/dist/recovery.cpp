@@ -16,17 +16,22 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
 
   auto& client = session_.client(client_idx);
 
+  // Removes the record's object. NotFound is fine: the object never
+  // reached the provider.
+  const auto remove_object = [&](const meta::LogRecord& rec) {
+    auto r = client.remove({rec.container, rec.object_name});
+    report.latency += r.latency;
+    return r.ok() || r.status.code() == common::StatusCode::kNotFound
+               ? common::Status::ok()
+               : r.status;
+  };
+
   // Applies one record; a non-OK status stops the replay at that record.
   const auto apply = [&](const meta::LogRecord& rec) -> common::Status {
     if (rec.action == meta::LogAction::kRemove) {
-      auto r = client.remove({rec.container, rec.object_name});
-      report.latency += r.latency;
-      // NotFound is fine: the object never reached the provider.
-      if (!r.ok() && r.status.code() != common::StatusCode::kNotFound) {
-        return r.status;
-      }
-      ++report.removes_applied;
-      return common::Status::ok();
+      auto status = remove_object(rec);
+      if (status.is_ok()) ++report.removes_applied;
+      return status;
     }
 
     // Synthetic objects (metadata-directory blocks) are regenerated from
@@ -45,10 +50,9 @@ RecoveryReport RecoveryManager::resync(const std::string& provider) {
     auto meta = store_.lookup(rec.path);
     if (!meta.has_value()) {
       // File was deleted after the logged write; drop the stale object.
-      auto r = client.remove({rec.container, rec.object_name});
-      report.latency += r.latency;
-      ++report.skipped;
-      return common::Status::ok();
+      auto status = remove_object(rec);
+      if (status.is_ok()) ++report.skipped;
+      return status;
     }
 
     const bool replicated =

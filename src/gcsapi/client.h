@@ -2,10 +2,8 @@
 //
 // Every call is executed against the provider and retried under a
 // RetryPolicy. Latencies of all attempts — including backoff — accumulate
-// into the reported latency, in virtual time. That the RESTful wire format
-// carries each (op, key) losslessly is pinned by rest_codec_test and, for
-// every op the six scheme clients issue, by rest_boundary_test, instead of
-// being re-checked on every call.
+// into the reported latency, in virtual time. Ops reach the simulated
+// provider as typed (op, key) calls; no wire encoding is modelled.
 #pragma once
 
 #include <cstdint>

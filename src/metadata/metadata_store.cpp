@@ -64,14 +64,14 @@ class ScopedLatency {
 };
 }  // namespace
 
-MetadataStore::MetadataStore(std::size_t shard_count)
-    : keyspace_(shard_count == 0 ? 1 : shard_count) {
+MetadataStore::MetadataStore(std::size_t shard_count) {
+  if (shard_count == 0) shard_count = 1;
   auto& registry = obs::MetricsRegistry::global();
   // 16 ns .. ~1 s in half-decade-ish steps: plenty for an in-memory table.
   lookup_ns_ = registry.histogram("meta.lookup.ns", 16.0, 2.0, 28);
   upsert_ns_ = registry.histogram("meta.upsert.ns", 16.0, 2.0, 28);
-  shards_.reserve(keyspace_.shard_count());
-  for (std::size_t i = 0; i < keyspace_.shard_count(); ++i) {
+  shards_.reserve(shard_count);
+  for (std::size_t i = 0; i < shard_count; ++i) {
     auto shard = std::make_unique<Shard>();
     char name[48];
     std::snprintf(name, sizeof name, "meta.shard.%02zu.files", i);
@@ -95,7 +95,7 @@ void MetadataStore::upsert(FileMeta m) {
   const ScopedLatency timer(upsert_ns_);
   const auto [dir, name] = split_path_view(m.path);
   const std::uint64_t dh = stable_key_hash(dir);
-  Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
   // `name` aliases m.path; insert_or_assign materializes its key before
@@ -111,7 +111,7 @@ std::uint64_t MetadataStore::upsert_versioned(FileMeta& m) {
   const auto [dir, name] = split_path_view(m.path);
   const std::uint64_t dh = stable_key_hash(dir);
   const std::uint64_t nh = stable_key_hash(name);
-  Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
   FileMeta* existing = files.find_h(nh, name);
@@ -132,7 +132,7 @@ bool MetadataStore::upsert_if_newer(FileMeta m) {
   const auto [dir, name] = split_path_view(m.path);
   const std::uint64_t dh = stable_key_hash(dir);
   const std::uint64_t nh = stable_key_hash(name);
-  Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable& files = shard.dirs.try_emplace_h(dh, dir);
   const FileMeta* existing = files.find_h(nh, name);
@@ -148,7 +148,7 @@ std::optional<FileMeta> MetadataStore::lookup(const std::string& path) const {
   const ScopedLatency timer(lookup_ns_);
   const auto [dir, name] = split_path_view(path);
   const std::uint64_t dh = stable_key_hash(dir);
-  const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  const Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   const DirTable* files = shard.dirs.find_h(dh, dir);
   if (files == nullptr) return std::nullopt;
@@ -160,7 +160,7 @@ std::optional<FileMeta> MetadataStore::lookup(const std::string& path) const {
 bool MetadataStore::erase(const std::string& path) {
   const auto [dir, name] = split_path_view(path);
   const std::uint64_t dh = stable_key_hash(dir);
-  Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   DirTable* files = shard.dirs.find_h(dh, dir);
   if (files == nullptr) return false;
@@ -194,7 +194,7 @@ std::vector<std::string> MetadataStore::directories() const {
 std::vector<FileMeta> MetadataStore::files_in(const std::string& dir) const {
   std::vector<FileMeta> out;
   const std::uint64_t dh = stable_key_hash(dir);
-  const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  const Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   const DirTable* files = shard.dirs.find_h(dh, dir);
   if (files == nullptr) return out;
@@ -228,7 +228,7 @@ std::vector<std::string> MetadataStore::all_paths() const {
 
 common::Bytes MetadataStore::serialize_directory(const std::string& dir) const {
   const std::uint64_t dh = stable_key_hash(dir);
-  const Shard& shard = *shards_[keyspace_.shard_of_hash(dh)];
+  const Shard& shard = *shards_[shard_of_hash(dh)];
   const auto lock = lock_shard(shard);
   Writer w;
   w.u32(kBlockMagic);
@@ -265,7 +265,7 @@ common::Status MetadataStore::load_directory_block(common::ByteSpan block) {
   for (std::uint32_t i = 0; i < count.value(); ++i) {
     auto m = FileMeta::deserialize(r);
     if (!m.is_ok()) return m.status();
-    // Routed per record via the keyspace; the version comparison and the
+    // Routed per record to its shard; the version comparison and the
     // upsert are one atomic step under the owning shard's lock.
     upsert_if_newer(std::move(m).value());
   }
@@ -283,7 +283,7 @@ void MetadataStore::clear() {
 
 std::mutex& MetadataStore::write_order_mu(const std::string& path) {
   const auto [dir, name] = split_path_view(path);
-  Shard& shard = *shards_[keyspace_.shard_of_dir(dir)];
+  Shard& shard = *shards_[shard_of_dir(dir)];
   const std::size_t stripe =
       stable_key_hash(path) % kWriteStripesPerShard;
   return shard.write_order[stripe];

@@ -2,9 +2,9 @@
 // per directory so each directory serializes to one block (the replication
 // unit shipped to performance-oriented providers).
 //
-// Sharded (DESIGN.md §14): directories are routed by a consistent-hash
-// Keyspace onto N lock-striped shards, each an open-addressed robin-hood
-// table of directories (each directory itself a robin-hood table of files).
+// Sharded (DESIGN.md §14): directories are routed by hash onto N
+// lock-striped shards, each an open-addressed robin-hood table of
+// directories (each directory itself a robin-hood table of files).
 // Lookups and upserts touch exactly one shard mutex; whole-store scans
 // (file_count, directories, all_paths) lock shards one at a time in
 // ascending index order and sort their harvest, so results stay
@@ -23,10 +23,10 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metadata/file_meta.h"
-#include "metadata/keyspace.h"
 #include "common/robin_hood.h"
 #include "obs/metrics.h"
 
@@ -52,7 +52,7 @@ class MetadataStore {
   /// Atomically assigns meta.version = stored version + 1 (or 1 when the
   /// path is new) and upserts, all under the owning shard's lock. Returns
   /// the assigned version. This is the mutation every write path routes
-  /// through the keyspace.
+  /// through.
   std::uint64_t upsert_versioned(FileMeta& meta);
 
   /// Last-writer-wins merge step: upserts unless a strictly newer version
@@ -80,16 +80,16 @@ class MetadataStore {
 
   void clear();
 
-  // --- Keyspace routing (explicit, deterministic, rebalance-ready) ---
-  [[nodiscard]] const Keyspace& keyspace() const { return keyspace_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
+  /// The shard that owns `dir`. Deterministic across processes and
+  /// platforms; the shard count never changes after construction.
   [[nodiscard]] std::size_t shard_of_dir(std::string_view dir) const {
-    return keyspace_.shard_of_dir(dir);
+    return shard_of_hash(common::stable_key_hash(dir));
   }
 
-  /// The mutex serializing same-path client writes end-to-end. Routed via
-  /// the keyspace to the owning shard's stripe set, so PR 7's standalone
-  /// striped write locks fold into the shard layout.
+  /// The mutex serializing same-path client writes end-to-end. It lives
+  /// in the stripe set of the shard that owns the path's directory, so
+  /// write ordering and metadata ownership agree.
   [[nodiscard]] std::mutex& write_order_mu(const std::string& path);
 
   /// Per-shard occupancy snapshot (gauges mirror this into the registry).
@@ -115,14 +115,13 @@ class MetadataStore {
   /// Locks a shard's table mutex, counting acquisitions that had to wait.
   [[nodiscard]] std::unique_lock<std::mutex> lock_shard(const Shard& s) const;
 
-  [[nodiscard]] Shard& shard_for_dir(std::string_view dir) {
-    return *shards_[keyspace_.shard_of_dir(dir)];
-  }
-  [[nodiscard]] const Shard& shard_for_dir(std::string_view dir) const {
-    return *shards_[keyspace_.shard_of_dir(dir)];
+  /// Routes on the high 32 bits of the directory hash: the shard's table
+  /// takes its home slot from the low bits, so routing on those would
+  /// leave only 1/N of every table's home slots in use.
+  [[nodiscard]] std::size_t shard_of_hash(std::uint64_t dir_hash) const {
+    return (dir_hash >> 32) % shards_.size();
   }
 
-  Keyspace keyspace_;
   std::vector<std::unique_ptr<Shard>> shards_;
   obs::Histogram lookup_ns_;  // meta.lookup.ns
   obs::Histogram upsert_ns_;  // meta.upsert.ns

@@ -2,18 +2,12 @@
 
 #include <algorithm>
 
-#include "metadata/keyspace.h"
 #include "metadata/serializer.h"
 
 namespace hyrd::meta {
 
 namespace {
 constexpr std::uint32_t kLogMagic = 0x4C4F4731;  // "LOG1"
-}
-
-std::uint32_t UpdateLog::route(const LogRecord& rec) const {
-  if (keyspace_ == nullptr) return 0;
-  return static_cast<std::uint32_t>(keyspace_->shard_of_path(rec.path));
 }
 
 std::uint64_t UpdateLog::append(std::string provider, std::string container,
@@ -24,13 +18,11 @@ std::uint64_t UpdateLog::append(std::string provider, std::string container,
   slot.rec = LogRecord{next_seq_++,          std::move(provider),
                        std::move(container), std::move(path),
                        std::move(object_name), action};
-  slot.shard = route(slot.rec);
   const std::size_t idx = slab_.size();
   const std::uint64_t seq = slot.rec.seq;
 
   ProviderIndex& pi = providers_[slot.rec.provider];
   pi.slots.push_back(idx);
-  if (keyspace_ != nullptr) pi.by_shard[slot.shard].push_back(idx);
   auto [it, fresh] = pi.latest.try_emplace(slot.rec.object_name, idx);
   slab_.push_back(std::move(slot));
   if (!fresh) {
@@ -59,34 +51,6 @@ std::vector<LogRecord> UpdateLog::pending_for(
   // Slots are appended in seq order; restored snapshots could in principle
   // carry arbitrary numbering, so pin the contract explicitly. The common
   // case is already sorted — verify in O(n) rather than sort in O(n log n).
-  const auto by_seq = [](const LogRecord& a, const LogRecord& b) {
-    return a.seq < b.seq;
-  };
-  if (!std::is_sorted(out.begin(), out.end(), by_seq)) {
-    std::sort(out.begin(), out.end(), by_seq);
-  }
-  return out;
-}
-
-std::vector<LogRecord> UpdateLog::pending_for_shard(
-    const std::string& provider, std::size_t shard) const {
-  std::lock_guard lock(mu_);
-  std::vector<LogRecord> out;
-  const auto it = providers_.find(provider);
-  if (it == providers_.end()) return out;
-  const ProviderIndex& pi = it->second;
-  const std::vector<std::size_t>* slots = &pi.slots;
-  if (keyspace_ != nullptr) {
-    const auto sh = pi.by_shard.find(static_cast<std::uint32_t>(shard));
-    if (sh == pi.by_shard.end()) return out;
-    slots = &sh->second;
-  } else if (shard != 0) {
-    return out;
-  }
-  for (const std::size_t idx : *slots) {
-    const Slot& s = slab_[idx];
-    if (!s.dead && !s.shadowed && s.shard == shard) out.push_back(s.rec);
-  }
   const auto by_seq = [](const LogRecord& a, const LogRecord& b) {
     return a.seq < b.seq;
   };
@@ -126,21 +90,8 @@ void UpdateLog::truncate(const std::string& provider,
     providers_.erase(it);
   } else {
     pi.slots = std::move(keep);
-    if (keyspace_ != nullptr) {
-      pi.by_shard.clear();
-      for (const std::size_t idx : pi.slots) {
-        pi.by_shard[slab_[idx].shard].push_back(idx);
-      }
-    }
   }
   maybe_compact_slab();
-}
-
-void UpdateLog::bind_keyspace(const Keyspace* keyspace) {
-  std::lock_guard lock(mu_);
-  keyspace_ = keyspace;
-  for (Slot& s : slab_) s.shard = route(s.rec);
-  rebuild_indexes();
 }
 
 std::size_t UpdateLog::size() const {
@@ -173,12 +124,6 @@ void UpdateLog::compact_provider(ProviderIndex& pi) {
   }
   pi.slots = std::move(keep);
   pi.superseded = 0;
-  if (keyspace_ != nullptr) {
-    pi.by_shard.clear();
-    for (const std::size_t idx : pi.slots) {
-      pi.by_shard[slab_[idx].shard].push_back(idx);
-    }
-  }
   ++compactions_;
 }
 
@@ -202,7 +147,6 @@ void UpdateLog::rebuild_indexes() {
     s.shadowed = false;
     ProviderIndex& pi = providers_[s.rec.provider];
     pi.slots.push_back(idx);
-    if (keyspace_ != nullptr) pi.by_shard[s.shard].push_back(idx);
     auto [it, fresh] = pi.latest.try_emplace(s.rec.object_name, idx);
     if (!fresh) {
       slab_[it->second].shadowed = true;
@@ -282,7 +226,6 @@ common::Status UpdateLog::restore(common::ByteSpan data) {
   next_seq_ = next.value();
   slab_ = std::move(slab);
   dead_ = 0;
-  for (Slot& s : slab_) s.shard = route(s.rec);
   rebuild_indexes();
   return common::Status::ok();
 }

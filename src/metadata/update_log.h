@@ -33,8 +33,6 @@
 
 namespace hyrd::meta {
 
-class Keyspace;
-
 enum class LogAction : std::uint8_t {
   kPut = 0,     // object on the offline provider is stale; re-push
   kRemove = 1,  // object was deleted while provider was offline
@@ -65,21 +63,9 @@ class UpdateLog {
   [[nodiscard]] std::vector<LogRecord> pending_for(
       const std::string& provider) const;
 
-  /// The pending records for one provider whose paths route to `shard`
-  /// under the bound keyspace (everything is shard 0 when unbound) — the
-  /// shard-local slice a per-shard resync or rebalance replays.
-  [[nodiscard]] std::vector<LogRecord> pending_for_shard(
-      const std::string& provider, std::size_t shard) const;
-
   /// Drops every record for `provider` with seq <= through_seq, touching
   /// only that provider's index.
   void truncate(const std::string& provider, std::uint64_t through_seq);
-
-  /// Routes each record's path through `keyspace` at append time so
-  /// pending_for_shard can answer per-shard. Re-binding re-indexes the
-  /// existing records. Pass nullptr to unbind. The keyspace must outlive
-  /// the log (in practice: the owning client's MetadataStore).
-  void bind_keyspace(const Keyspace* keyspace);
 
   /// Logical record count (live, including superseded-but-uncompacted).
   [[nodiscard]] std::size_t size() const;
@@ -96,18 +82,14 @@ class UpdateLog {
  private:
   struct Slot {
     LogRecord rec;
-    std::uint32_t shard = 0;  // keyspace route of rec.path (0 when unbound)
-    bool dead = false;        // truncated or compacted away
-    bool shadowed = false;    // a later record for the same object exists
+    bool dead = false;      // truncated or compacted away
+    bool shadowed = false;  // a later record for the same object exists
   };
 
   struct ProviderIndex {
     std::vector<std::size_t> slots;  // live slab positions, seq order
     // object_name -> slab position of the latest record for it
     std::unordered_map<std::string, std::size_t> latest;
-    // shard -> live slab positions (maintained only while a keyspace is
-    // bound; filtered lazily for dead slots)
-    std::unordered_map<std::uint32_t, std::vector<std::size_t>> by_shard;
     std::size_t superseded = 0;  // live slots with shadowed = true
   };
 
@@ -119,10 +101,8 @@ class UpdateLog {
   /// more than half the slab is dead. Called under mu_.
   void maybe_compact_slab();
 
-  /// Rebuilds providers_ (and shard routes) from slab_. Called under mu_.
+  /// Rebuilds providers_ from slab_. Called under mu_.
   void rebuild_indexes();
-
-  [[nodiscard]] std::uint32_t route(const LogRecord& rec) const;
 
   mutable std::mutex mu_;
   std::vector<Slot> slab_;
@@ -131,7 +111,6 @@ class UpdateLog {
   std::size_t watermark_ = kDefaultCompactionWatermark;
   std::uint64_t compactions_ = 0;
   std::uint64_t next_seq_ = 1;
-  const Keyspace* keyspace_ = nullptr;
 };
 
 }  // namespace hyrd::meta

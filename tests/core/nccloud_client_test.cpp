@@ -149,6 +149,36 @@ TEST_F(NCCloudTest, FunctionalRepairAfterOutage) {
   EXPECT_EQ(r.data, fresh);
 }
 
+TEST_F(NCCloudTest, FailedRepairStaysPendingUntilItCanRun) {
+  cloud::OutageController outages(registry_);
+  const auto data = common::patterned(1 << 20, 13);
+  outages.take_down("AmazonS3");
+  ASSERT_TRUE(client_->put("/f", data).status.is_ok());
+  const std::size_t pending =
+      client_->update_log().pending_for("AmazonS3").size();
+  ASSERT_GT(pending, 0u);
+
+  // The repair needs one chunk from each of the three other clouds, so
+  // with Rackspace down it fails and S3's records stay pending.
+  outages.take_down("Rackspace");
+  outages.restore("AmazonS3");
+  client_->on_provider_restored("AmazonS3");
+  EXPECT_EQ(client_->update_log().pending_for("AmazonS3").size(), pending);
+
+  outages.restore("Rackspace");
+  client_->on_provider_restored("Rackspace");
+  client_->on_provider_restored("AmazonS3");
+  EXPECT_TRUE(client_->update_log().pending_for("AmazonS3").empty());
+
+  // S3 now holds real chunks: the acked bytes survive losing the other
+  // two clouds.
+  outages.take_down("Aliyun");
+  outages.take_down("WindowsAzure");
+  auto r = client_->get("/f");
+  ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+  EXPECT_EQ(r.data, data);
+}
+
 TEST_F(NCCloudTest, RepairCheaperThanRacsResync) {
   // Table I "Recovery: Moderate": NCCloud's repair traffic beats RACS's
   // conventional reconstruction for the same stored object.

@@ -8,25 +8,25 @@ namespace hyrd::core {
 namespace {
 
 TEST(StorageClientBase, MetaBlockPathRoundTrip) {
-  const std::string path = StorageClientBase::meta_block_path("/mail/in");
-  auto dir = StorageClientBase::parse_meta_block_path(path);
+  const std::string path = StorageClient::meta_block_path("/mail/in");
+  auto dir = StorageClient::parse_meta_block_path(path);
   ASSERT_TRUE(dir.has_value());
   EXPECT_EQ(*dir, "/mail/in");
 }
 
 TEST(StorageClientBase, UserPathsAreNotMetaBlockPaths) {
-  EXPECT_FALSE(StorageClientBase::parse_meta_block_path("/mail/in").has_value());
-  EXPECT_FALSE(StorageClientBase::parse_meta_block_path("/").has_value());
-  EXPECT_FALSE(StorageClientBase::parse_meta_block_path("").has_value());
+  EXPECT_FALSE(StorageClient::parse_meta_block_path("/mail/in").has_value());
+  EXPECT_FALSE(StorageClient::parse_meta_block_path("/").has_value());
+  EXPECT_FALSE(StorageClient::parse_meta_block_path("").has_value());
 }
 
 TEST(StorageClientBase, MetaBlockObjectNameDeterministicPerDirectory) {
-  EXPECT_EQ(StorageClientBase::meta_block_object_name("/a"),
-            StorageClientBase::meta_block_object_name("/a"));
-  EXPECT_NE(StorageClientBase::meta_block_object_name("/a"),
-            StorageClientBase::meta_block_object_name("/b"));
+  EXPECT_EQ(StorageClient::meta_block_object_name("/a"),
+            StorageClient::meta_block_object_name("/a"));
+  EXPECT_NE(StorageClient::meta_block_object_name("/a"),
+            StorageClient::meta_block_object_name("/b"));
   EXPECT_TRUE(
-      StorageClientBase::meta_block_object_name("/a").starts_with("md."));
+      StorageClient::meta_block_object_name("/a").starts_with("md."));
 }
 
 TEST(ClientStats, MeanAcrossOpKinds) {

@@ -131,6 +131,47 @@ TEST_F(RecoveryTest, ResyncSkipsDeletedFiles) {
   EXPECT_EQ(report.objects_repushed, 0u);
 }
 
+TEST_F(RecoveryTest, ResyncKeepsAFailedCleanupRemovePending) {
+  // Azure holds a replica of /f, which is deleted before the resync: the
+  // replay must remove that stale object. The op before the remove (a
+  // block put) takes Azure offline, so the remove fails and its record
+  // must stay pending instead of leaving the object billed forever.
+  auto* azure = registry_.find("WindowsAzure");
+  auto w = replication_.write(*session_, "/f", common::patterned(100, 5),
+                              {idx("Aliyun"), idx("WindowsAzure")});
+  ASSERT_TRUE(w.status.is_ok());
+  store_.upsert(w.meta);
+  store_.erase("/f");
+  recovery_->set_block_regenerator(
+      [](const std::string& path) -> std::optional<common::Bytes> {
+        if (path == "blk") return common::bytes_of("block");
+        return std::nullopt;
+      });
+  log_.append("WindowsAzure", "data", "blk", "blk-object",
+              meta::LogAction::kPut);
+  log_.append("WindowsAzure", "data", "/f", w.meta.locations[1].object_name,
+              meta::LogAction::kPut);
+  azure->set_op_hook([&](cloud::OpKind op, const cloud::ObjectKey& key) {
+    if (op == cloud::OpKind::kPut && key.name == "blk-object") {
+      azure->set_online(false);
+    }
+  });
+  const auto first = recovery_->resync("WindowsAzure");
+  azure->set_op_hook(nullptr);
+  EXPECT_FALSE(first.status.is_ok());
+  const auto pending = log_.pending_for("WindowsAzure");
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].path, "/f");
+  EXPECT_EQ(azure->object_count(), 2u);  // the block and the stale replica
+
+  azure->set_online(true);
+  const auto retry = recovery_->resync("WindowsAzure");
+  ASSERT_TRUE(retry.status.is_ok());
+  EXPECT_EQ(retry.skipped, 1u);
+  EXPECT_TRUE(log_.pending_for("WindowsAzure").empty());
+  EXPECT_EQ(azure->object_count(), 1u);  // only the block
+}
+
 TEST_F(RecoveryTest, ResyncUsesBlockRegenerator) {
   recovery_->set_block_regenerator(
       [](const std::string& path) -> std::optional<common::Bytes> {

@@ -169,9 +169,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RsGeometry{1, 1}, RsGeometry{2, 1}, RsGeometry{3, 1},
                       RsGeometry{3, 2}, RsGeometry{4, 2}, RsGeometry{5, 3},
                       RsGeometry{6, 3}, RsGeometry{8, 4}),
-    [](const ::testing::TestParamInfo<RsGeometry>& info) {
-      return "k" + std::to_string(info.param.k) + "m" +
-             std::to_string(info.param.m);
+    [](const ::testing::TestParamInfo<RsGeometry>& geometry) {
+      return "k" + std::to_string(geometry.param.k) + "m" +
+             std::to_string(geometry.param.m);
     });
 
 TEST(ReedSolomon, RandomizedRoundTrips) {

@@ -44,8 +44,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, StriperSizeTest,
                          ::testing::Values(0, 1, 2, 3, 4, 5, 100, 1023, 1024,
                                            1025, 4096, 65536, 1 << 20,
                                            (1 << 20) + 1, 3u << 20),
-                         [](const auto& info) {
-                           return "size" + std::to_string(info.param);
+                         [](const auto& size) {
+                           return "size" + std::to_string(size.param);
                          });
 
 TEST(Striper, ShardSizeIsCeilDivision) {

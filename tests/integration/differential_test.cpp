@@ -246,7 +246,7 @@ INSTANTIATE_TEST_SUITE_P(
                           s, "Aliyun");
                     },
                     false}),
-    [](const auto& info) { return std::string(info.param.name); });
+    [](const auto& scheme) { return std::string(scheme.param.name); });
 
 }  // namespace
 }  // namespace hyrd

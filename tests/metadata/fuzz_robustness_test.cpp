@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "gcsapi/rest_codec.h"
 #include "metadata/file_meta.h"
 #include "metadata/metadata_store.h"
 #include "metadata/serializer.h"
@@ -101,26 +100,6 @@ TEST(FuzzRobustness, LengthPrefixBombRejected) {
   w2.u32(0xFFFFFFFFu);  // string length prefix far beyond the buffer
   Reader r(w2.data());
   EXPECT_FALSE(r.str().is_ok());
-}
-
-TEST(FuzzRobustness, RestParserMutationsAndNoise) {
-  const auto req = gcs::encode_op(cloud::OpKind::kPut, {"bucket", "obj"},
-                                  common::patterned(64, 1));
-  const common::Bytes wire = gcs::serialize(req);
-
-  common::Xoshiro256 rng(263);
-  for (int trial = 0; trial < 500; ++trial) {
-    common::Bytes bad = wire;
-    const std::size_t pos = rng.uniform_int(0, bad.size() - 1);
-    bad[pos] ^= static_cast<std::uint8_t>(1 + rng.uniform_int(0, 254));
-    auto parsed = gcs::parse_request(bad);
-    if (parsed.is_ok()) {
-      (void)gcs::decode_op(parsed.value());  // any status; no crash
-    }
-  }
-  for (std::size_t len = 0; len < wire.size(); ++len) {
-    (void)gcs::parse_request(common::ByteSpan(wire.data(), len));
-  }
 }
 
 TEST(FuzzRobustness, FileMetaRandomNoise) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,7 +102,7 @@ TEST(MetadataShard, SerializeDirectoryBytesInvariantUnderShardCount) {
 
 TEST(MetadataShard, SerializeLoadRoundTripsAcrossShardCounts) {
   // Blocks written by a store with one shard count load into any other:
-  // the keyspace re-routes each record, and the result is byte-for-byte
+  // each record is routed to its shard again, and the result is byte-for-byte
   // re-serializable — determinism regardless of shard count.
   MetadataStore src(64);
   common::Xoshiro256 rng(77);
@@ -150,6 +151,30 @@ TEST(MetadataShard, ShardOccupancySumsToFileCount) {
   }
   EXPECT_EQ(files, store.file_count());
   EXPECT_EQ(dirs, store.directories().size());
+}
+
+TEST(MetadataShard, RoutesDirectoriesByHighHashBits) {
+  // Routing is balanced, and independent of the low hash bits that pick a
+  // directory's home slot inside its shard's table: routing on those bits
+  // would give each shard's directories one fixed low nibble and leave
+  // 15/16 of every table's home slots unused.
+  constexpr std::size_t kShards = 16;
+  constexpr std::size_t kDirs = 100'000;
+  MetadataStore store(kShards);
+  const MetadataStore twin(kShards);
+  std::set<std::uint64_t> shard0_low_bits;
+  for (std::size_t i = 0; i < kDirs; ++i) {
+    const std::string dir = "/mail/inbox/" + std::to_string(i);
+    store.upsert(make_meta(dir + "/f"));
+    const std::size_t shard = store.shard_of_dir(dir);
+    ASSERT_EQ(shard, twin.shard_of_dir(dir)) << dir;
+    if (shard == 0) shard0_low_bits.insert(common::stable_key_hash(dir) & 15);
+  }
+  const double fair = static_cast<double>(kDirs) / kShards;
+  for (const auto& occ : store.shard_occupancy()) {
+    EXPECT_NEAR(static_cast<double>(occ.directories), fair, 0.05 * fair);
+  }
+  EXPECT_EQ(shard0_low_bits.size(), 16u);
 }
 
 // Readers, writers, erasers, and block loads racing across every shard.

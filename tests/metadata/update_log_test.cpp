@@ -7,8 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "metadata/keyspace.h"
-
 namespace hyrd::meta {
 namespace {
 
@@ -175,7 +173,9 @@ TEST(UpdateLogIndex, PendingForIsIndexedNotQuadraticOn100kRecords) {
     for (const auto& rec : oracle) oracle_seq[rec.object_name] = rec.seq;
     for (std::size_t i = 0; i < pending.size(); ++i) {
       EXPECT_EQ(pending[i].seq, oracle_seq.at(pending[i].object_name));
-      if (i > 0) EXPECT_LT(pending[i - 1].seq, pending[i].seq);
+      if (i > 0) {
+        EXPECT_LT(pending[i - 1].seq, pending[i].seq);
+      }
     }
   }
   EXPECT_GT(scan_s / indexed_s, 3.0)
@@ -214,18 +214,12 @@ TEST(UpdateLogIndex, SerializeIsByteStableForUnchangedLogicalLog) {
 
   // Read-side traffic must not perturb the serialized form.
   for (const auto& p : six_providers()) (void)log.pending_for(p);
-  (void)log.pending_for_shard(six_providers()[0], 0);
   log.truncate(six_providers()[0], 0);  // logical no-op: seq 0 drops nothing
   EXPECT_EQ(log.serialize(), snapshot);
 
   // A restore of the snapshot re-serializes byte-identically.
   UpdateLog restored;
   ASSERT_TRUE(restored.restore(snapshot).is_ok());
-  EXPECT_EQ(restored.serialize(), snapshot);
-
-  // Binding a keyspace changes routing metadata only, never the bytes.
-  const Keyspace ks(16);
-  restored.bind_keyspace(&ks);
   EXPECT_EQ(restored.serialize(), snapshot);
 }
 
@@ -244,16 +238,14 @@ TEST(UpdateLogIndex, WatermarkCompactionDropsShadowedRecords) {
   EXPECT_EQ(pending[0].seq, 32u);
 }
 
-TEST(UpdateLogIndex, RestoreRebuildsProviderAndShardIndexes) {
-  const Keyspace ks(16);
+TEST(UpdateLogIndex, RestoreRebuildsProviderIndexes) {
   UpdateLog log;
-  log.bind_keyspace(&ks);
   fill_outage_log(log, 2000);
   const auto snapshot = log.serialize();
 
   UpdateLog restored;
-  restored.bind_keyspace(&ks);
   ASSERT_TRUE(restored.restore(snapshot).is_ok());
+  EXPECT_EQ(restored.size(), log.size());
   for (const auto& provider : six_providers()) {
     const auto want = log.pending_for(provider);
     const auto got = restored.pending_for(provider);
@@ -261,38 +253,7 @@ TEST(UpdateLogIndex, RestoreRebuildsProviderAndShardIndexes) {
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].seq, want[i].seq);
     }
-    for (std::size_t shard = 0; shard < ks.shard_count(); ++shard) {
-      EXPECT_EQ(restored.pending_for_shard(provider, shard).size(),
-                log.pending_for_shard(provider, shard).size());
-    }
   }
-}
-
-TEST(UpdateLogIndex, PendingForShardPartitionsThePendingSet) {
-  const Keyspace ks(4);
-  UpdateLog log;
-  log.bind_keyspace(&ks);
-  fill_outage_log(log, 1500);
-
-  for (const auto& provider : six_providers()) {
-    const auto all = log.pending_for(provider);
-    std::vector<LogRecord> unioned;
-    for (std::size_t shard = 0; shard < ks.shard_count(); ++shard) {
-      for (const auto& rec : log.pending_for_shard(provider, shard)) {
-        EXPECT_EQ(ks.shard_of_path(rec.path), shard);
-        unioned.push_back(rec);
-      }
-    }
-    ASSERT_EQ(unioned.size(), all.size()) << provider;
-  }
-
-  // Unbound logs put everything in shard 0.
-  UpdateLog unbound;
-  fill_outage_log(unbound, 300);
-  const auto& p0 = six_providers()[0];
-  EXPECT_EQ(unbound.pending_for_shard(p0, 0).size(),
-            unbound.pending_for(p0).size());
-  EXPECT_TRUE(unbound.pending_for_shard(p0, 1).empty());
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Discrete-event core contracts: dispatch order (time, then submission),
-// cancellation (from outside and from inside a running handler), and
-// virtual-time monotonicity.
+// growth of the heap from inside a running handler, and virtual-time
+// monotonicity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/clock.h"
@@ -40,7 +41,7 @@ TEST(EventQueue, DispatchesInTimeOrder) {
 
 TEST(EventQueue, EqualTimestampsDispatchInScheduleOrder) {
   // The stability contract the determinism test leans on: ties broken by
-  // the monotone event id, i.e. submission order — never heap order.
+  // the monotone sequence number, i.e. submission order — never heap order.
   std::vector<int> trace;
   std::vector<Recorder> handlers;
   handlers.reserve(8);
@@ -53,35 +54,6 @@ TEST(EventQueue, EqualTimestampsDispatchInScheduleOrder) {
   EXPECT_EQ(trace, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(EventQueue, CancelledEventIsSkipped) {
-  std::vector<int> trace;
-  Recorder a(1, trace), b(2, trace);
-  EventQueue q;
-  const EventId ida = q.schedule_at(100, &a);
-  q.schedule_at(200, &b);
-  EXPECT_TRUE(q.cancel(ida));
-  EXPECT_EQ(q.run(), 1u);  // only b dispatched
-  EXPECT_EQ(trace, (std::vector<int>{2}));
-  EXPECT_EQ(q.now(), 200);  // cancelled events don't advance the clock
-}
-
-TEST(EventQueue, CancelIsIdempotentAndRejectsUnknownOrDispatched) {
-  std::vector<int> trace;
-  Recorder a(1, trace);
-  EventQueue q;
-  const EventId id = q.schedule_at(50, &a);
-  EXPECT_FALSE(q.cancel(kInvalidEvent));
-  EXPECT_FALSE(q.cancel(id + 999));  // never issued
-  EXPECT_TRUE(q.cancel(id));
-  EXPECT_FALSE(q.cancel(id));  // second cancel is a no-op
-  q.run();
-  EXPECT_TRUE(trace.empty());
-
-  const EventId id2 = q.schedule_at(60, &a);
-  q.run();
-  EXPECT_FALSE(q.cancel(id2));  // already dispatched
-}
-
 TEST(EventQueue, PastSchedulesClampToNowAndTimeIsMonotone) {
   struct Prober final : EventHandler {
     std::vector<common::SimDuration> seen;
@@ -89,7 +61,7 @@ TEST(EventQueue, PastSchedulesClampToNowAndTimeIsMonotone) {
       seen.push_back(now);
       if (seen.size() == 1) {
         q.schedule_at(now - 500, this);  // the past: must clamp to now
-        q.schedule_in(-10, this);        // negative delay: same
+        q.schedule_at(now - 10, this);   // just behind: same
       }
     }
   } p;
@@ -130,88 +102,41 @@ TEST(EventQueue, RunHonorsMaxEvents) {
   EXPECT_EQ(q.run(), 1u);
 }
 
-TEST(EventQueue, HandlerCancelsAnotherPendingEvent) {
-  // A running handler may cancel another pending event: the victim is
-  // skipped, never dispatched.
-  struct Canceller final : EventHandler {
-    EventId other = kInvalidEvent;
-    bool cancelled_other = false;
-    void on_event(EventQueue& q, common::SimDuration) override {
-      if (other != kInvalidEvent) cancelled_other = q.cancel(other);
-    }
-  } p;
-  std::vector<int> trace;
-  Recorder victim(9, trace);
-  EventQueue q;
-  q.schedule_at(10, &p);
-  p.other = q.schedule_at(20, &victim);
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_TRUE(p.cancelled_other);
-  EXPECT_TRUE(trace.empty());
-  EXPECT_EQ(q.pending(), 0u);
-}
-
-TEST(EventQueue, StaleIdOfReusedSlotIsRejected) {
-  // Dispatched and cancelled events hand their slab slot back; an id that
-  // named the slot's previous event must not reach the new one.
-  std::vector<int> trace;
-  Recorder a(1, trace), b(2, trace), c(3, trace);
-  EventQueue q;
-  const EventId first = q.schedule_at(10, &a);
-  q.run();
-  const EventId second = q.schedule_at(20, &b);
-  ASSERT_EQ(first & 0xffffffffu, second & 0xffffffffu);  // same slot reused
-  EXPECT_NE(first, second);
-  EXPECT_FALSE(q.cancel(first));  // stale: must not cancel b
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_EQ(trace, (std::vector<int>{1, 2}));
-
-  // Cancelled and reaped, then the slot reused: the cancelled id is dead.
-  const EventId cancelled = q.schedule_at(30, &a);
-  EXPECT_TRUE(q.cancel(cancelled));
-  EXPECT_EQ(q.run(), 0u);  // reaps the cancelled event
-  const EventId reused = q.schedule_at(40, &c);
-  ASSERT_EQ(cancelled & 0xffffffffu, reused & 0xffffffffu);
-  EXPECT_FALSE(q.cancel(cancelled));
-  EXPECT_EQ(q.run(), 1u);
-  EXPECT_EQ(trace, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, SelfCancelSurvivesSlabGrowthInsideHandler) {
-  // A handler that grows the slab by 10^4 entries and then cancels its
-  // own (still running) event must hit *its* entry: the cancel succeeds,
-  // the running step completes, and every child still dispatches (under
-  // ASan a relocated slab would be a use-after-free here).
+TEST(EventQueue, HeapGrowthInsideHandlerKeepsOrder) {
+  // A handler that schedules 10^4 events while it runs regrows the heap
+  // under its own dispatch: the running step completes, and every child
+  // dispatches once, in (time, submission) order.
   struct Burst final : EventHandler {
-    EventId self = kInvalidEvent;
-    bool self_cancelled = false;
-    bool finished = false;
-    int children = 0;
+    bool parent_done = false;
+    std::size_t pending_after_burst = 0;
+    std::vector<common::SimDuration> child_times;
     void on_event(EventQueue& q, common::SimDuration now) override {
-      if (self == kInvalidEvent) {  // a child: just count it
-        ++children;
+      if (parent_done) {
+        child_times.push_back(now);
         return;
       }
-      const EventId me = self;
-      self = kInvalidEvent;
       for (int i = 0; i < 10'000; ++i) q.schedule_at(now + 1 + i % 7, this);
-      self_cancelled = q.cancel(me);
-      EXPECT_FALSE(q.cancel(me));  // already cancelled
-      finished = true;
+      pending_after_burst = q.pending();
+      parent_done = true;
     }
   } burst;
   EventQueue q;
-  burst.self = q.schedule_at(5, &burst);
+  q.schedule_at(5, &burst);
   EXPECT_EQ(q.run(), 10'001u);
-  EXPECT_TRUE(burst.self_cancelled);
-  EXPECT_TRUE(burst.finished);
-  EXPECT_EQ(burst.children, 10'000);
+  EXPECT_TRUE(burst.parent_done);
+  EXPECT_EQ(burst.pending_after_burst, 10'000u);
+  ASSERT_EQ(burst.child_times.size(), 10'000u);
+  EXPECT_TRUE(
+      std::is_sorted(burst.child_times.begin(), burst.child_times.end()));
+  EXPECT_EQ(burst.child_times.front(), 6);
+  EXPECT_EQ(burst.child_times.back(), 12);
   EXPECT_EQ(q.pending(), 0u);
+  EXPECT_EQ(q.dispatched(), 10'001u);
 }
 
-TEST(EventQueue, PendingCountsAcrossCancels) {
-  // pending() counts scheduled events not yet reaped: a cancelled event
-  // counts until the dispatcher skips it, a running one until it returns.
+TEST(EventQueue, PendingCountsUndispatchedEvents) {
+  // pending() counts events scheduled and not yet dispatched: a running
+  // handler's own event has been dispatched and is not counted.
   struct Probe final : EventHandler {
     std::vector<std::size_t> seen;
     void on_event(EventQueue& q, common::SimDuration) override {
@@ -219,27 +144,16 @@ TEST(EventQueue, PendingCountsAcrossCancels) {
     }
   } probe;
   EventQueue q;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 6; ++i) ids.push_back(q.schedule_at(10 * (i + 1), &probe));
-  EXPECT_EQ(q.pending(), 6u);
-  EXPECT_TRUE(q.cancel(ids[0]));
-  EXPECT_TRUE(q.cancel(ids[3]));
-  EXPECT_FALSE(q.cancel(ids[3]));
-  EXPECT_EQ(q.pending(), 6u);  // flagged, not yet reaped
-  ASSERT_TRUE(q.step());       // reaps ids[0], runs ids[1]
+  for (int i = 0; i < 4; ++i) q.schedule_at(10 * (i + 1), &probe);
   EXPECT_EQ(q.pending(), 4u);
-  ASSERT_TRUE(q.step());       // runs ids[2]
+  ASSERT_TRUE(q.step());
   EXPECT_EQ(q.pending(), 3u);
-  ASSERT_TRUE(q.step());       // reaps ids[3], runs ids[4]
-  EXPECT_EQ(q.pending(), 1u);
-  // Each running handler saw itself counted.
-  EXPECT_EQ(probe.seen, (std::vector<std::size_t>{5, 4, 2}));
-  // Refill the freed slots, cancel everything, drain.
-  for (int i = 0; i < 4; ++i) ids.push_back(q.schedule_at(100 + i, &probe));
-  EXPECT_EQ(q.pending(), 5u);
-  for (std::size_t i = 5; i < ids.size(); ++i) EXPECT_TRUE(q.cancel(ids[i]));
-  EXPECT_EQ(q.run(), 0u);
+  q.schedule_at(100, &probe);
+  EXPECT_EQ(q.pending(), 4u);
+  EXPECT_EQ(q.run(), 4u);
   EXPECT_EQ(q.pending(), 0u);
+  EXPECT_FALSE(q.step());
+  EXPECT_EQ(probe.seen, (std::vector<std::size_t>{3, 3, 2, 1, 0}));
 }
 
 }  // namespace
