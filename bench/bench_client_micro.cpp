@@ -33,7 +33,8 @@ void run_put_get(benchmark::State& state, MakeClient make_client,
   const auto data = common::patterned(size, 1);
   int i = 0;
   for (auto _ : state) {
-    const std::string path = "/b/f" + std::to_string(i++ % 64);
+    const std::string path =
+        std::string("/b/f").append(std::to_string(i++ % 64));
     auto w = client->put(path, data);
     auto r = client->get(path);
     benchmark::DoNotOptimize(r.data.data());
@@ -95,7 +96,8 @@ void BM_ProviderRawPut(benchmark::State& state) {
   const auto data = common::patterned(static_cast<std::size_t>(state.range(0)), 2);
   int i = 0;
   for (auto _ : state) {
-    auto r = provider->put({"c", "k" + std::to_string(i++ % 16)}, data);
+    auto r = provider->put(
+        {"c", std::string("k").append(std::to_string(i++ % 16))}, data);
     benchmark::DoNotOptimize(r.latency);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -140,7 +142,8 @@ void databus_hyrd_roundtrip(hyrd::bench::JsonSink& sink) {
   common::reset_copied_bytes();
   const auto t0 = WallClock::now();
   for (int i = 0; i < kIters; ++i) {
-    const std::string path = "/databus/f" + std::to_string(i);
+    const std::string path =
+        std::string("/databus/f").append(std::to_string(i));
     if (!client.put(path, payloads[i]).status.is_ok()) die("put");
     auto r = client.get(path);
     if (!r.status.is_ok()) die("get");
@@ -170,7 +173,8 @@ void databus_replicated_get(hyrd::bench::JsonSink& sink) {
   constexpr int kObjects = 8;
   for (int i = 0; i < kObjects; ++i) {
     const auto data = common::patterned(kSize, 2000 + i);
-    if (!client.put("/rep/f" + std::to_string(i), data).status.is_ok()) {
+    const std::string path = std::string("/rep/f").append(std::to_string(i));
+    if (!client.put(path, data).status.is_ok()) {
       die("replicated put");
     }
   }
@@ -180,7 +184,8 @@ void databus_replicated_get(hyrd::bench::JsonSink& sink) {
   common::reset_copied_bytes();
   auto t0 = WallClock::now();
   for (int i = 0; i < kSerial; ++i) {
-    auto r = client.get("/rep/f" + std::to_string(i % kObjects));
+    auto r = client.get(
+        std::string("/rep/f").append(std::to_string(i % kObjects)));
     if (!r.status.is_ok() || r.data.size() != kSize) die("replicated get");
   }
   double secs = seconds_since(t0);
@@ -197,7 +202,8 @@ void databus_replicated_get(hyrd::bench::JsonSink& sink) {
     for (int t = 0; t < kThreads; ++t) {
       workers.emplace_back([&, t] {
         for (int i = 0; i < kPerThread; ++i) {
-          auto r = client.get("/rep/f" + std::to_string((t + i) % kObjects));
+          auto r = client.get(std::string("/rep/f").append(
+              std::to_string((t + i) % kObjects)));
           if (!r.status.is_ok()) die("concurrent replicated get");
         }
       });

@@ -49,7 +49,8 @@ int main(int argc, char** argv) {
     for (const auto& r : reports) headers.push_back(r.client);
     common::Table t(headers);
     for (int m = 0; m < 12; ++m) {
-      std::vector<std::string> row = {"m" + std::to_string(m)};
+      std::vector<std::string> row = {
+          std::string("m").append(std::to_string(m))};
       for (const auto& r : reports) {
         row.push_back(common::Table::num(r.monthly_cost[m], 0));
       }
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
     for (const auto& r : reports) headers.push_back(r.client);
     common::Table t(headers);
     for (int m = 0; m < 12; ++m) {
-      std::vector<std::string> row = {"m" + std::to_string(m)};
+      std::vector<std::string> row = {
+          std::string("m").append(std::to_string(m))};
       for (const auto& r : reports) {
         row.push_back(common::Table::num(r.cumulative_cost[m], 0));
       }

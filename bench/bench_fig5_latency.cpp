@@ -45,8 +45,10 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < kRepetitions; ++rep) {
         const auto payload = common::patterned(sizes[s].second,
                                                s * 100 + static_cast<std::size_t>(rep));
-        const cloud::ObjectKey key{"fig5", "o" + std::to_string(s) + "-" +
-                                               std::to_string(rep)};
+        const cloud::ObjectKey key{"fig5", std::string("o")
+                                               .append(std::to_string(s))
+                                               .append("-")
+                                               .append(std::to_string(rep))};
         auto put = client.put(key, payload);
         auto get = client.get(key);
         if (put.ok()) grid[p][s].write_ms.add(common::to_ms(put.latency));

@@ -42,7 +42,10 @@ constexpr std::size_t kDirs = 16;
 constexpr std::size_t kFilesPerDir = 65536;
 
 std::string path_of(std::size_t dir, std::size_t file) {
-  return "d" + std::to_string(dir) + "/f" + std::to_string(file);
+  return std::string("d")
+      .append(std::to_string(dir))
+      .append("/f")
+      .append(std::to_string(file));
 }
 
 /// All paths, precomputed: the workload indexes into this so per-op cost
@@ -180,7 +183,8 @@ int main(int argc, char** argv) {
       meta::LegacyMetadataStore store;
       for (const auto& p : path_table()) store.upsert(meta_of(p));
       legacy_mops.push_back(run_mixed(store, threads, ops_per_thread, seed));
-      json.add("legacy/t" + std::to_string(threads) + "/mops",
+      json.add(std::string("legacy/t").append(std::to_string(threads)).append(
+                   "/mops"),
                legacy_mops.back());
     }
     for (std::size_t si = 0; si < shard_counts.size(); ++si) {
@@ -188,8 +192,11 @@ int main(int argc, char** argv) {
       for (const auto& p : path_table()) store.upsert(meta_of(p));
       sharded_mops[si].push_back(
           run_mixed(store, threads, ops_per_thread, seed));
-      json.add("sharded" + std::to_string(shard_counts[si]) + "/t" +
-                   std::to_string(threads) + "/mops",
+      json.add(std::string("sharded")
+                   .append(std::to_string(shard_counts[si]))
+                   .append("/t")
+                   .append(std::to_string(threads))
+                   .append("/mops"),
                sharded_mops[si].back());
     }
   }
@@ -234,9 +241,11 @@ int main(int argc, char** argv) {
     rec.seq = i + 1;
     rec.provider = provider;
     rec.container = "hyrd-data";
-    rec.path = "d" + std::to_string(object % kDirs) + "/o" +
-               std::to_string(object);
-    rec.object_name = "o" + std::to_string(object);
+    rec.path = std::string("d")
+                   .append(std::to_string(object % kDirs))
+                   .append("/o")
+                   .append(std::to_string(object));
+    rec.object_name = std::string("o").append(std::to_string(object));
     rec.action = meta::LogAction::kPut;
     scan.records.push_back(rec);
     indexed.append(rec.provider, rec.container, rec.path, rec.object_name,

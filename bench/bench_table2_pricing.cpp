@@ -21,7 +21,9 @@ int main() {
     std::vector<std::string> cells = {label};
     for (const auto& c : configs) {
       const double v = getter(c.prices);
-      cells.push_back(v == 0.0 ? "Free" : "$" + common::Table::num(v, precision));
+      cells.push_back(v == 0.0 ? "Free"
+                               : std::string("$").append(
+                                     common::Table::num(v, precision)));
     }
     table.add_row(cells);
   };

@@ -163,9 +163,10 @@ int main() {
         std::printf("unknown provider %s\n", name.c_str());
         continue;
       }
-      const auto latency = hyrd.on_provider_restored(name);
-      std::printf("%s back online; consistency update took %.0f ms\n",
-                  name.c_str(), common::to_ms(latency));
+      const auto resync = hyrd.on_provider_restored(name);
+      std::printf("%s back online; consistency update %s, took %.0f ms\n",
+                  name.c_str(), resync.status.to_string().c_str(),
+                  common::to_ms(resync.latency));
     } else if (cmd == "bill") {
       common::Table t({"Provider", "Stored", "In", "Out", "Total $"});
       for (const auto& p : registry.all()) {

@@ -59,10 +59,10 @@ int main() {
 
   banner("Phase 2: Azure returns; consistency update replays the log");
   outages.restore("WindowsAzure");
-  const auto resync_time = hyrd.on_provider_restored("WindowsAzure");
-  std::printf("resync took %.0f ms of virtual time; pending records now: "
-              "%zu\n",
-              common::to_ms(resync_time),
+  const auto resync = hyrd.on_provider_restored("WindowsAzure");
+  std::printf("resync %s, took %.0f ms of virtual time; pending records "
+              "now: %zu\n",
+              resync.status.to_string().c_str(), common::to_ms(resync.latency),
               hyrd.update_log().pending_for("WindowsAzure").size());
 
   banner("Phase 3: verify full redundancy is back");

@@ -2,14 +2,21 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cstring>
-#include <set>
 #include <optional>
+#include <set>
+#include <string_view>
 
 #include "common/checksum.h"
 #include "common/copy_meter.h"
 
 namespace hyrd::core {
+
+namespace {
+/// Logical-path prefix of deduplicated content: "cas:" + SHA-256 hex.
+constexpr std::string_view kCasPrefix = "cas:";
+}  // namespace
 
 HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
     : StorageClient(
@@ -60,13 +67,6 @@ HyRDClient::HyRDClient(gcs::MultiCloudSession& session, HyRDConfig config)
                       pool.begin() + static_cast<std::ptrdiff_t>(slots));
   assert(shard_slots_.size() == config_.geometry.total() &&
          "need at least k+m providers for the configured geometry");
-
-  recovery_.set_block_regenerator(
-      [this](const std::string& path) -> std::optional<common::Bytes> {
-        auto dir = parse_meta_block_path(path);
-        if (!dir.has_value()) return std::nullopt;
-        return store_.serialize_directory(*dir);
-      });
 }
 
 common::SimDuration HyRDClient::persist_metadata(const std::string& dir) {
@@ -87,9 +87,13 @@ void HyRDClient::drop_hot_copy(const std::string& path, bool remove_remote) {
   }
   if (remove_remote) {
     const std::size_t idx = session_.index_of(loc.provider);
-    if (idx != static_cast<std::size_t>(-1)) {
-      (void)session_.client(idx).remove(
-          {config_.data_container, loc.object_name});
+    if (idx != static_cast<std::size_t>(-1) &&
+        session_.client(idx)
+                .remove({config_.data_container, loc.object_name})
+                .status.code() == common::StatusCode::kUnavailable) {
+      // The copy is billed until the provider's replay deletes it.
+      log_.append(loc.provider, config_.data_container, path,
+                  loc.object_name, meta::LogAction::kRemove);
     }
   }
   monitor_.forget(path);
@@ -122,9 +126,12 @@ dist::WriteResult HyRDClient::put_dedup(const std::string& path,
   const auto canonical = dedup_.find(digest);
   if (canonical.has_value() && canonical->size == data.size()) {
     // Duplicate content: alias the existing fragments; only metadata moves.
+    // Re-putting the content `path` already holds must not release it.
     result.meta = *canonical;
     result.meta.path = path;
-    if (prev.has_value()) result.latency += remove_object(*prev).latency;
+    if (prev.has_value() && prev->locations != canonical->locations) {
+      result.latency += remove_object(*prev).latency;
+    }
     dedup_.add_alias(digest, path, data.size());
     result.status = common::Status::ok();
     return result;
@@ -132,13 +139,34 @@ dist::WriteResult HyRDClient::put_dedup(const std::string& path,
 
   // Unique content: write fragments under content-addressed names so
   // future aliases can share them and overwrites never clobber shared
-  // fragments.
-  result = write_class("cas:" + digest.hex(), data, cls, unreachable);
+  // fragments. Missed fragments are logged under the content's name, so
+  // the replay resolves them to the content, not to whatever `path`
+  // holds by then.
+  result = write_class(std::string(kCasPrefix).append(digest.hex()), data,
+                       cls, unreachable);
   if (!result.status.is_ok()) return result;
+  log_unreachable(unreachable, result.meta, meta::LogAction::kPut);
+  unreachable.clear();
   result.meta.path = path;
   if (prev.has_value()) result.latency += remove_object(*prev).latency;
   dedup_.add_canonical(digest, result.meta);
   return result;
+}
+
+std::optional<meta::FileMeta> HyRDClient::logged_meta(
+    const std::string& path) const {
+  if (!path.starts_with(kCasPrefix)) return StorageClient::logged_meta(path);
+  const auto hex = std::string_view(path).substr(kCasPrefix.size());
+  common::Sha256Digest digest;
+  if (hex.size() != 2 * digest.bytes.size()) return std::nullopt;
+  for (std::size_t i = 0; i < digest.bytes.size(); ++i) {
+    const char* first = hex.data() + 2 * i;
+    if (std::from_chars(first, first + 2, digest.bytes[i], 16).ptr !=
+        first + 2) {
+      return std::nullopt;
+    }
+  }
+  return dedup_.find(digest);
 }
 
 dist::WriteResult HyRDClient::write_object(

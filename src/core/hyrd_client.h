@@ -68,6 +68,10 @@ class HyRDClient final : public StorageClient {
   dist::RemoveResult remove_object(const meta::FileMeta& m) override;
   /// Replicates the directory block to the replica targets.
   common::SimDuration persist_metadata(const std::string& dir) override;
+  /// Deduplicated content is logged as "cas:<sha256 hex>" and resolves to
+  /// the content's canonical meta, whichever paths alias it.
+  [[nodiscard]] std::optional<meta::FileMeta> logged_meta(
+      const std::string& path) const override;
 
   /// Absorption stays aligned with classification: only writes the
   /// dispatcher would replicate are write-back candidates.

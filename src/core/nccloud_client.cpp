@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <set>
 
 #include "common/checksum.h"
 #include "common/copy_meter.h"
@@ -197,48 +196,9 @@ dist::RemoveResult NCCloudClient::remove_object(const meta::FileMeta& m) {
   return StorageClient::remove_object(m);
 }
 
-common::SimDuration NCCloudClient::on_provider_restored(
-    const std::string& provider) {
-  const std::size_t node = session_.index_of(provider);
-  if (node == static_cast<std::size_t>(-1)) return 0;
-  common::SimDuration latency = 0;
-
-  // Records replay in seq order and the replay stops at the first one
-  // that fails. The log is truncated through the last record applied, so
-  // a later restore resumes at the failed record.
-  std::uint64_t applied = 0;
-  std::set<std::string> repaired;
-  for (const auto& rec : log_.pending_for(provider)) {
-    common::Status status = common::Status::ok();
-    if (auto dir = parse_meta_block_path(rec.path); dir.has_value()) {
-      // Metadata blocks are regenerated directly from client state.
-      const common::Bytes block = store_.serialize_directory(*dir);
-      auto r = session_.client(node).put({container_, rec.object_name},
-                                         block);
-      latency += r.latency;
-      status = r.status;
-    } else if (rec.action == meta::LogAction::kRemove) {
-      auto r = session_.client(node).remove({container_, rec.object_name});
-      latency += r.latency;
-      // NotFound is fine: the object never reached the provider.
-      if (r.status.code() != common::StatusCode::kNotFound) status = r.status;
-    } else if (!repaired.contains(rec.path)) {
-      // One repair regenerates all of the node's chunks of the file.
-      status = repair_node(rec.path, node, latency);
-      repaired.insert(rec.path);
-    }
-    if (!status.is_ok()) break;
-    applied = rec.seq;
-  }
-  if (applied > 0) log_.truncate(provider, applied);
-  return latency;
-}
-
-common::Status NCCloudClient::repair_node(const std::string& path,
-                                          std::size_t node,
-                                          common::SimDuration& latency) {
-  const auto m = store_.lookup(path);
-  if (!m.has_value()) return common::Status::ok();  // deleted meanwhile
+common::Status NCCloudClient::rebuild_on(const meta::FileMeta& m,
+                                         std::size_t node,
+                                         common::SimDuration& latency) {
   const std::size_t cpn = code_.chunks_per_node();
 
   // Plan the functional repair, download exactly the planned chunks
@@ -246,9 +206,9 @@ common::Status NCCloudClient::repair_node(const std::string& path,
   erasure::Fmsr::RepairPlan plan;
   {
     std::lock_guard lock(coeff_mu_);
-    const auto it = coefficients_.find(path);
+    const auto it = coefficients_.find(m.path);
     if (it == coefficients_.end()) {
-      return common::failed_precondition("no coefficients for " + path);
+      return common::failed_precondition("no coefficients for " + m.path);
     }
     auto planned = code_.plan_repair(it->second, node, rng_);
     if (!planned.is_ok()) return planned.status();
@@ -257,7 +217,7 @@ common::Status NCCloudClient::repair_node(const std::string& path,
   gcs::AsyncBatch batch(session_);
   for (std::size_t idx : plan.survivor_chunk_indices) {
     batch.submit(gcs::CloudOp::get(
-        idx / cpn, {container_, m->locations[idx].object_name}));
+        idx / cpn, {container_, m.locations[idx].object_name}));
   }
   gcs::BatchStats stats;
   auto gets = batch.await_all(&stats);
@@ -269,12 +229,12 @@ common::Status NCCloudClient::repair_node(const std::string& path,
   }
 
   const auto new_chunks = code_.execute_repair(plan, survivor_chunks);
-  meta::FileMeta updated = *m;
+  meta::FileMeta updated = m;
   common::SimDuration push_latency = 0;
   for (std::size_t c = 0; c < cpn; ++c) {
     const std::size_t idx = node * cpn + c;
     auto r = session_.client(node).put(
-        {container_, m->locations[idx].object_name}, new_chunks[c]);
+        {container_, m.locations[idx].object_name}, new_chunks[c]);
     push_latency = std::max(push_latency, r.latency);
     if (!r.ok()) {
       latency += push_latency;
@@ -289,7 +249,7 @@ common::Status NCCloudClient::repair_node(const std::string& path,
   store_.upsert(updated);
   {
     std::lock_guard lock(coeff_mu_);
-    coefficients_[path] = plan.new_coefficients;
+    coefficients_[m.path] = plan.new_coefficients;
   }
   return common::Status::ok();
 }

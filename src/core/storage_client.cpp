@@ -1,6 +1,7 @@
 #include "core/storage_client.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "common/checksum.h"
 #include "common/virtual_time.h"
@@ -285,10 +286,7 @@ StorageClient::StorageClient(
     : session_(session),
       container_(std::move(container)),
       replication_(std::move(replication)),
-      erasure_(std::move(erasure)),
-      recovery_(session, store_, log_,
-                replication_ ? &*replication_ : nullptr,
-                erasure_ ? &*erasure_ : nullptr) {}
+      erasure_(std::move(erasure)) {}
 
 namespace {
 /// The one metadata lookup of get/update/remove; a miss sets `status`.
@@ -354,9 +352,94 @@ dist::RemoveResult StorageClient::do_remove(const std::string& path) {
   return result;
 }
 
-common::SimDuration StorageClient::on_provider_restored(
+RestoreResult StorageClient::on_provider_restored(
     const std::string& provider) {
-  return recovery_.resync(provider).latency;
+  RestoreResult out;
+  const std::size_t node = session_.index_of(provider);
+  if (node == static_cast<std::size_t>(-1)) {
+    out.status = common::invalid_argument("unknown provider: " + provider);
+    return out;
+  }
+  auto& client = session_.client(node);
+  if (!client.provider()->online()) {
+    out.status = common::failed_precondition(provider + " still offline");
+    return out;
+  }
+
+  // Deletes the record's object. NotFound is fine: the object never
+  // reached the provider.
+  const auto drop = [&](const meta::LogRecord& rec) {
+    auto r = client.remove({rec.container, rec.object_name});
+    out.latency += r.latency;
+    return r.ok() || r.status.code() == common::StatusCode::kNotFound
+               ? common::Status::ok()
+               : r.status;
+  };
+  // One rebuild restores every object of a file on the provider.
+  std::unordered_set<std::string> rebuilt;
+  const auto apply = [&](const meta::LogRecord& rec) -> common::Status {
+    if (rec.action == meta::LogAction::kRemove) return drop(rec);
+    if (const auto m = logged_meta(rec.path)) {
+      if (!rebuilt.insert(rec.path).second) return common::Status::ok();
+      return rebuild_on(*m, node, out.latency);
+    }
+    if (const auto dir = parse_meta_block_path(rec.path)) {
+      // A block persisted by replicate_block has no FileMeta: regenerate it.
+      auto r = client.put({rec.container, rec.object_name},
+                          store_.serialize_directory(*dir));
+      out.latency += r.latency;
+      return r.status;
+    }
+    return drop(rec);  // the file was deleted after the logged write
+  };
+
+  // Records are in sequence order, so everything through `applied` is done
+  // (or superseded by a later record). Truncating through it on error as
+  // well as on success means a retry replays only from the failed record.
+  std::uint64_t applied = 0;
+  out.status = common::Status::ok();
+  for (const auto& rec : log_.pending_for(provider)) {
+    out.status = apply(rec);
+    if (!out.status.is_ok()) break;
+    applied = rec.seq;
+  }
+  if (applied > 0) log_.truncate(provider, applied);
+  return out;
+}
+
+common::Status StorageClient::rebuild_on(const meta::FileMeta& m,
+                                         std::size_t node,
+                                         common::SimDuration& latency) {
+  auto& client = session_.client(node);
+  const bool replicated = m.redundancy == meta::RedundancyKind::kReplicated;
+  if (replicated ? !replication_ : !erasure_) {
+    return common::failed_precondition("no scheme to rebuild " + m.path +
+                                       " with");
+  }
+  std::vector<std::pair<std::string, common::Buffer>> objects;
+  if (replicated) {
+    auto whole = replication_->read(session_, m);
+    latency += whole.latency;
+    if (!whole.status.is_ok()) return whole.status;
+    for (const auto& loc : m.locations) {
+      if (loc.provider == client.provider_name()) {
+        objects.emplace_back(loc.object_name, whole.data);
+      }
+    }
+  } else {
+    auto fragments = erasure_->rebuild_fragments_for(
+        session_, m, client.provider_name(), &latency);
+    if (!fragments.is_ok()) return fragments.status();
+    objects = std::move(fragments).value();
+  }
+  const std::string& container =
+      replicated ? replication_->container() : erasure_->container();
+  for (auto& [name, bytes] : objects) {
+    auto r = client.put({container, name}, std::move(bytes));
+    latency += r.latency;
+    if (!r.ok()) return r.status;
+  }
+  return common::Status::ok();
 }
 
 dist::WriteResult StorageClient::write_object(

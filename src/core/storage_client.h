@@ -36,7 +36,6 @@
 #include "cache/client_cache.h"
 #include "common/stats.h"
 #include "dist/erasure_scheme.h"
-#include "dist/recovery.h"
 #include "dist/replication.h"
 #include "dist/scheme.h"
 #include "gcsapi/session.h"
@@ -60,6 +59,12 @@ struct ClientStats {
     if (n == 0) return 0.0;
     return (put_ms.sum() + get_ms.sum() + update_ms.sum() + remove_ms.sum()) / n;
   }
+};
+
+/// Outcome of one update-log replay (StorageClient::on_provider_restored).
+struct RestoreResult {
+  common::Status status;
+  common::SimDuration latency = 0;
 };
 
 class StorageClient {
@@ -124,11 +129,15 @@ class StorageClient {
 
   [[nodiscard]] std::vector<std::string> list() const;
 
-  /// Notification that a provider finished an outage and is back online:
-  /// replays the update log against it. Returns the virtual time the
-  /// resync took.
-  virtual common::SimDuration on_provider_restored(
-      const std::string& provider);
+  /// Phase 2 of the paper's recovery (§III-C): `provider` is back online,
+  /// so replay its pending update-log records in seq order, then truncate
+  /// the log. A remove deletes the object (NotFound counts as done); a
+  /// metadata block with no FileMeta is regenerated from the store; a put
+  /// whose file is gone drops the stale object; any other put rebuilds its
+  /// file on the provider through rebuild_on, at most once per path. The
+  /// replay stops at the first failed record and truncates only through
+  /// the last one applied, so a retry resumes at the failure.
+  RestoreResult on_provider_restored(const std::string& provider);
 
   [[nodiscard]] const meta::MetadataStore& metadata() const { return store_; }
   [[nodiscard]] const meta::UpdateLog& update_log() const { return log_; }
@@ -214,6 +223,18 @@ class StorageClient {
   /// Persists `dir`'s metadata block. Default: write_object on the
   /// synthetic block path, committed like a user file.
   virtual common::SimDuration persist_metadata(const std::string& dir);
+  /// The meta an update-log record's path names, or nullopt once the file
+  /// is gone. Default: the store's entry.
+  [[nodiscard]] virtual std::optional<meta::FileMeta> logged_meta(
+      const std::string& path) const {
+    return store_.lookup(path);
+  }
+  /// Rewrites `m`'s objects on provider `node` from the surviving copies,
+  /// writing only the object names `m` lists there and adding the virtual
+  /// time to `latency`. Default: copy a replica, or rebuild the stripe's
+  /// fragments.
+  virtual common::Status rebuild_on(const meta::FileMeta& m, std::size_t node,
+                                    common::SimDuration& latency);
 
   // --- Cache hooks ---
 
@@ -282,7 +303,6 @@ class StorageClient {
   const std::string container_;
   std::optional<dist::ReplicationScheme> replication_;
   std::optional<dist::ErasureScheme> erasure_;
-  dist::RecoveryManager recovery_;
   std::vector<std::size_t> targets_;
 
  private:

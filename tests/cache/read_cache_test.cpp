@@ -35,7 +35,7 @@ TEST(CacheReadCache, ScanResistance) {
   rc.insert("hot", filled(16, 7));
   ASSERT_TRUE(rc.lookup("hot").has_value());  // promoted to protected
   for (int i = 0; i < 32; ++i) {
-    rc.insert("scan" + std::to_string(i), filled(16, 1));
+    rc.insert(std::string("scan").append(std::to_string(i)), filled(16, 1));
   }
   EXPECT_TRUE(rc.lookup("hot").has_value());
   EXPECT_LE(rc.bytes(), 64u);
@@ -46,13 +46,16 @@ TEST(CacheReadCache, ProtectedOverflowDemotesNotDrops) {
   ReadCache rc;
   rc.set_capacity(64, 0.5);  // protected budget: 32 bytes = 2 entries
   for (int i = 0; i < 3; ++i) {
-    rc.insert("p" + std::to_string(i), filled(16, 1));
-    ASSERT_TRUE(rc.lookup("p" + std::to_string(i)).has_value());  // promote
+    rc.insert(std::string("p").append(std::to_string(i)), filled(16, 1));
+    ASSERT_TRUE(  // promote
+        rc.lookup(std::string("p").append(std::to_string(i))).has_value());
   }
   // All three are still resident (one was demoted to probation, none
   // dropped: 48 bytes < 64 total).
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(rc.lookup("p" + std::to_string(i)).has_value()) << i;
+    EXPECT_TRUE(
+        rc.lookup(std::string("p").append(std::to_string(i))).has_value())
+        << i;
   }
   EXPECT_LE(rc.bytes(), 64u);
 }
@@ -61,7 +64,7 @@ TEST(CacheReadCache, ByteBoundHolds) {
   ReadCache rc;
   rc.set_capacity(100, 0.8);
   for (int i = 0; i < 50; ++i) {
-    rc.insert("k" + std::to_string(i), filled(30, 2));
+    rc.insert(std::string("k").append(std::to_string(i)), filled(30, 2));
     ASSERT_LE(rc.bytes(), 100u);
   }
   EXPECT_LE(rc.entries(), 3u);

@@ -127,7 +127,7 @@ TEST(SimProviderCongestion, OverloadReturns429AndCountsThrottled) {
   OpResult last;
   int throttled = 0;
   for (int i = 0; i < 4; ++i) {
-    last = provider.put({"c", "o" + std::to_string(i)},
+    last = provider.put({"c", std::string("o").append(std::to_string(i))},
                         common::Buffer::of("z"));
     if (!last.status.is_ok()) ++throttled;
   }

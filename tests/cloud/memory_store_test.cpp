@@ -103,7 +103,11 @@ TEST(MemoryStore, ConcurrentPutsAreConsistent) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 100; ++i) {
-        store.put("c", "t" + std::to_string(t) + "-" + std::to_string(i),
+        store.put("c",
+                  std::string("t")
+                      .append(std::to_string(t))
+                      .append("-")
+                      .append(std::to_string(i)),
                   common::Bytes(10, 0));
       }
     });
@@ -145,7 +149,8 @@ TEST(MemoryStore, AccountingAndListOrderHoldUnderChurn) {
   };
   for (std::size_t step = 0; step < 6'000; ++step) {
     const std::string& c = containers[rng.uniform_int(0, containers.size() - 1)];
-    const std::string name = "obj-" + std::to_string(rng.uniform_int(0, 400));
+    const std::string name =
+        std::string("obj-").append(std::to_string(rng.uniform_int(0, 400)));
     auto& objs = oracle[c];
     if (rng.chance(0.6)) {
       const std::size_t size = rng.uniform_int(0, 2048);

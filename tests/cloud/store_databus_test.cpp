@@ -136,7 +136,7 @@ TEST(MemoryStoreDatabus, StoredBytesCountsLogicalBytes) {
   ASSERT_TRUE(store.create("c").is_ok());
   common::Buffer arena = common::Buffer::from(common::patterned(300, 8));
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(store.put("c", "frag" + std::to_string(i),
+    ASSERT_TRUE(store.put("c", std::string("frag").append(std::to_string(i)),
                           arena.slice(static_cast<std::size_t>(i) * 100, 100))
                     .is_ok());
   }
@@ -151,7 +151,8 @@ TEST(MemoryStoreDatabus, ConcurrentSharedKeyChurn) {
   // get returns a self-consistent patterned payload.
   MemoryStore store;
   for (int c = 0; c < 4; ++c) {
-    ASSERT_TRUE(store.create("c" + std::to_string(c)).is_ok());
+    ASSERT_TRUE(
+        store.create(std::string("c").append(std::to_string(c))).is_ok());
   }
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> bad_reads{0};
@@ -160,8 +161,10 @@ TEST(MemoryStoreDatabus, ConcurrentSharedKeyChurn) {
   for (int t = 0; t < 4; ++t) {  // writers: shared keys across threads
     threads.emplace_back([&store, t] {
       for (int i = 0; i < 400; ++i) {
-        const std::string container = "c" + std::to_string(i % 4);
-        const std::string name = "k" + std::to_string((i + t) % 8);
+        const std::string container =
+            std::string("c").append(std::to_string(i % 4));
+        const std::string name =
+            std::string("k").append(std::to_string((i + t) % 8));
         const std::uint64_t seed = static_cast<std::uint64_t>((i + t) % 8);
         common::Buffer payload =
             common::Buffer::from(common::patterned(1024, seed));
@@ -175,8 +178,9 @@ TEST(MemoryStoreDatabus, ConcurrentSharedKeyChurn) {
     threads.emplace_back([&store, &stop, &bad_reads, t] {
       while (!stop.load()) {
         for (int i = 0; i < 8; ++i) {
-          const std::string container = "c" + std::to_string((i + t) % 4);
-          const std::string name = "k" + std::to_string(i);
+          const std::string container =
+              std::string("c").append(std::to_string((i + t) % 4));
+          const std::string name = std::string("k").append(std::to_string(i));
           auto got = store.get(container, name);
           if (got.is_ok() && got.value().size() != 1024) ++bad_reads;
           auto ranged = store.get_range(container, name, 512, 256);
@@ -188,8 +192,8 @@ TEST(MemoryStoreDatabus, ConcurrentSharedKeyChurn) {
   threads.emplace_back([&store, &stop] {  // remover + occasional wipe
     int n = 0;
     while (!stop.load()) {
-      (void)store.remove("c" + std::to_string(n % 4),
-                         "k" + std::to_string(n % 8));
+      (void)store.remove(std::string("c").append(std::to_string(n % 4)),
+                         std::string("k").append(std::to_string(n % 8)));
       if (++n % 97 == 0) store.wipe();
     }
   });

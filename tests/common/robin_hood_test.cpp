@@ -15,7 +15,8 @@ TEST(RobinHood, StableKeyHashNeverReturnsZero) {
   EXPECT_NE(stable_key_hash("/"), 0u);
   Xoshiro256 rng(3);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_NE(stable_key_hash("k" + std::to_string(rng())), 0u);
+    EXPECT_NE(
+        stable_key_hash(std::string("k").append(std::to_string(rng()))), 0u);
   }
 }
 

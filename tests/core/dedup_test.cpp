@@ -167,6 +167,18 @@ TEST_F(DedupHyRDTest, OverwritingSharedPathPreservesOtherAlias) {
   EXPECT_EQ(client_->get("/b").data, data);  // alias unaffected
 }
 
+TEST_F(DedupHyRDTest, RePuttingSameContentKeepsIt) {
+  // The path already holds this content: the put aliases it to itself and
+  // must not release the fragments its own meta still names.
+  const auto data = common::patterned(4096, 9);
+  ASSERT_TRUE(client_->put("/a", data).status.is_ok());
+  ASSERT_TRUE(client_->put("/a", data).status.is_ok());
+  const auto r = client_->get("/a");
+  ASSERT_TRUE(r.status.is_ok()) << r.status.to_string();
+  EXPECT_EQ(r.data, data);
+  EXPECT_EQ(client_->dedup().stats().unique_files, 1u);
+}
+
 TEST_F(DedupHyRDTest, DifferentContentSameSizeNotAliased) {
   client_->put("/a", common::patterned(4096, 8));
   client_->put("/b", common::patterned(4096, 9));

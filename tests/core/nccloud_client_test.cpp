@@ -132,8 +132,9 @@ TEST_F(NCCloudTest, FunctionalRepairAfterOutage) {
 
   outages.restore("AmazonS3");
   for (const auto& p : registry_.all()) p->reset_counters();
-  const auto latency = client_->on_provider_restored("AmazonS3");
-  EXPECT_GT(latency, 0);
+  const auto resync = client_->on_provider_restored("AmazonS3");
+  EXPECT_TRUE(resync.status.is_ok());
+  EXPECT_GT(resync.latency, 0);
 
   // The regenerating saving: repair downloaded one chunk from each of the
   // 3 survivors = 0.75x the object, not the full object.
@@ -162,7 +163,7 @@ TEST_F(NCCloudTest, FailedRepairStaysPendingUntilItCanRun) {
   // with Rackspace down it fails and S3's records stay pending.
   outages.take_down("Rackspace");
   outages.restore("AmazonS3");
-  client_->on_provider_restored("AmazonS3");
+  EXPECT_FALSE(client_->on_provider_restored("AmazonS3").status.is_ok());
   EXPECT_EQ(client_->update_log().pending_for("AmazonS3").size(), pending);
 
   outages.restore("Rackspace");

@@ -170,8 +170,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RsGeometry{3, 2}, RsGeometry{4, 2}, RsGeometry{5, 3},
                       RsGeometry{6, 3}, RsGeometry{8, 4}),
     [](const ::testing::TestParamInfo<RsGeometry>& geometry) {
-      return "k" + std::to_string(geometry.param.k) + "m" +
-             std::to_string(geometry.param.m);
+      return std::string("k")
+          .append(std::to_string(geometry.param.k))
+          .append("m")
+          .append(std::to_string(geometry.param.m));
     });
 
 TEST(ReedSolomon, RandomizedRoundTrips) {

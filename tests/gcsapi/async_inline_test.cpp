@@ -58,7 +58,7 @@ TEST_F(AsyncInlineTest, InlineOpsRunOnTheSubmittingThread) {
     AsyncBatch batch(session_);
     std::vector<std::string> expected;
     for (std::size_t i = 0; i < targets.size(); ++i) {
-      expected.push_back("k" + std::to_string(i));
+      expected.push_back(std::string("k").append(std::to_string(i)));
       batch.submit(CloudOp::put(targets[i], {"c", expected.back()},
                                 common::ByteSpan(payload_)));
       ASSERT_EQ(seen.size(), i + 1) << "op " << i << " ran after submit";

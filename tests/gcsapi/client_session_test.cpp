@@ -106,7 +106,8 @@ TEST_F(ClientSessionTest, ParallelPutLatencyIsMax) {
   const common::Bytes data = common::patterned(200000, 1);
   AsyncBatch batch(session);
   for (std::size_t i = 0; i < 4; ++i) {
-    batch.submit(CloudOp::put(i, {"c", "k" + std::to_string(i)}, data));
+    batch.submit(CloudOp::put(
+        i, {"c", std::string("k").append(std::to_string(i))}, data));
   }
   BatchStats stats;
   auto results = batch.await_all(&stats);
@@ -125,7 +126,8 @@ TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
   session.ensure_container_everywhere("c");
   for (std::size_t i = 0; i < 4; ++i) {
     session.client(i).put({"c", "k"},
-                          common::bytes_of("v" + std::to_string(i)));
+                          common::bytes_of(
+                              std::string("v").append(std::to_string(i))));
   }
   AsyncBatch batch(session);
   for (std::size_t i = 0; i < 4; ++i) batch.submit(CloudOp::get(i, {"c", "k"}));
@@ -134,7 +136,7 @@ TEST_F(ClientSessionTest, ParallelGetReturnsInOrder) {
     EXPECT_EQ(results[i].op_index, i);
     ASSERT_TRUE(results[i].ok());
     EXPECT_EQ(common::to_string(results[i].result.data),
-              "v" + std::to_string(i));
+              std::string("v").append(std::to_string(i)));
   }
 }
 

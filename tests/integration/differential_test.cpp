@@ -8,28 +8,12 @@
 
 #include "cloud/outage.h"
 #include "cloud/profiles.h"
-#include "core/depsky_client.h"
-#include "core/duracloud_client.h"
-#include "core/hyrd_client.h"
-#include "core/nccloud_client.h"
-#include "core/racs_client.h"
-#include "core/single_client.h"
+#include "support/schemes.h"
 
 namespace hyrd {
 namespace {
 
-using ClientFactory = std::function<std::unique_ptr<core::StorageClient>(
-    gcs::MultiCloudSession&)>;
-
-struct SchemeParam {
-  const char* name;
-  ClientFactory factory;
-  bool survives_single_outage;
-};
-
-// Keeps the printed parameter (and so the test name) free of the raw-byte
-// dump gtest falls back to, which embeds addresses that change per run.
-void PrintTo(const SchemeParam& param, std::ostream* os) { *os << param.name; }
+using test::SchemeParam;
 
 class DifferentialTest : public ::testing::TestWithParam<SchemeParam> {};
 
@@ -165,13 +149,10 @@ TEST_P(DifferentialTest, SharedOpContract) {
 /// "container/name" of every object each provider holds, in fleet order.
 std::vector<std::set<std::string>> object_names(
     const cloud::CloudRegistry& registry) {
-  static constexpr const char* kContainers[] = {
-      "hyrd-data",   "hyrd-meta",    "racs-data",  "duracloud-data",
-      "depsky-data", "nccloud-data", "single-data"};
   std::vector<std::set<std::string>> out;
   for (const auto& p : registry.all()) {
     auto& names = out.emplace_back();
-    for (const char* container : kContainers) {
+    for (const char* container : test::kSchemeContainers) {
       auto listed = p->raw_store().list(container);
       if (!listed.is_ok()) continue;
       for (const auto& name : listed.value()) {
@@ -205,48 +186,9 @@ TEST_P(DifferentialTest, RemoveDuringOutageLeavesNoOrphanAfterRestore) {
   EXPECT_EQ(run(/*outage=*/true), run(/*outage=*/false));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Schemes, DifferentialTest,
-    ::testing::Values(
-        SchemeParam{"HyRD",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::HyRDClient>(s);
-                    },
-                    true},
-        SchemeParam{"HyRDDedup",
-                    [](gcs::MultiCloudSession& s) {
-                      core::HyRDConfig config;
-                      config.dedup_enabled = true;
-                      return std::make_unique<core::HyRDClient>(s, config);
-                    },
-                    true},
-        SchemeParam{"RACS",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::RACSClient>(s);
-                    },
-                    true},
-        SchemeParam{"DuraCloud",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::DuraCloudClient>(s);
-                    },
-                    true},
-        SchemeParam{"DepSky",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::DepSkyClient>(s);
-                    },
-                    true},
-        SchemeParam{"NCCloud",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::NCCloudClient>(s);
-                    },
-                    true},
-        SchemeParam{"Single",
-                    [](gcs::MultiCloudSession& s) {
-                      return std::make_unique<core::SingleCloudClient>(
-                          s, "Aliyun");
-                    },
-                    false}),
-    [](const auto& scheme) { return std::string(scheme.param.name); });
+INSTANTIATE_TEST_SUITE_P(Schemes, DifferentialTest,
+                         ::testing::ValuesIn(test::kSchemes),
+                         test::scheme_name);
 
 }  // namespace
 }  // namespace hyrd

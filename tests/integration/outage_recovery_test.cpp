@@ -40,8 +40,9 @@ TEST_F(OutageLifecycleTest, HyRDFullCycleSmallFile) {
 
   // Provider returns; consistency update replays the log.
   outages.restore("WindowsAzure");
-  const auto resync_latency = client.on_provider_restored("WindowsAzure");
-  EXPECT_GT(resync_latency, 0);
+  const auto resync = client.on_provider_restored("WindowsAzure");
+  EXPECT_TRUE(resync.status.is_ok());
+  EXPECT_GT(resync.latency, 0);
   EXPECT_TRUE(client.update_log().pending_for("WindowsAzure").empty());
 
   // Full redundancy is restored: Aliyun alone down is now tolerable.

@@ -17,13 +17,14 @@ common::Bytes valid_block() {
   MetadataStore store;
   for (int i = 0; i < 5; ++i) {
     FileMeta m;
-    m.path = "/dir/f" + std::to_string(i);
+    m.path = std::string("/dir/f").append(std::to_string(i));
     m.size = 1000 + i;
     m.version = i;
     m.redundancy =
         i % 2 == 0 ? RedundancyKind::kReplicated : RedundancyKind::kErasure;
-    m.locations = {{"Aliyun", "o" + std::to_string(i)},
-                   {"WindowsAzure", "p" + std::to_string(i)}};
+    m.locations = {{"Aliyun", std::string("o").append(std::to_string(i))},
+                   {"WindowsAzure",
+                    std::string("p").append(std::to_string(i))}};
     m.fragment_crcs = {1u, 2u, 3u};
     store.upsert(m);
   }

@@ -30,7 +30,8 @@ FileMeta make_meta(std::string path, std::uint64_t version = 1,
 }
 
 std::string random_path(common::Xoshiro256& rng) {
-  return "d" + std::to_string(rng() % 13) + "/f" + std::to_string(rng() % 97);
+  std::string path = std::string("d").append(std::to_string(rng() % 13));
+  return path.append("/f").append(std::to_string(rng() % 97));
 }
 
 TEST(MetadataShard, MatchesLegacyUnderRandomChurn) {
@@ -164,7 +165,8 @@ TEST(MetadataShard, RoutesDirectoriesByHighHashBits) {
   const MetadataStore twin(kShards);
   std::set<std::uint64_t> shard0_low_bits;
   for (std::size_t i = 0; i < kDirs; ++i) {
-    const std::string dir = "/mail/inbox/" + std::to_string(i);
+    const std::string dir =
+        std::string("/mail/inbox/").append(std::to_string(i));
     store.upsert(make_meta(dir + "/f"));
     const std::size_t shard = store.shard_of_dir(dir);
     ASSERT_EQ(shard, twin.shard_of_dir(dir)) << dir;
@@ -193,8 +195,10 @@ TEST(MetadataShardStress, ConcurrentChurnAcrossShards) {
   // Seed blocks for the loader thread to replay concurrently.
   MetadataStore seed(1);
   for (int i = 0; i < 200; ++i) {
-    seed.upsert(make_meta("d" + std::to_string(i % 13) + "/s" +
-                          std::to_string(i)));
+    seed.upsert(make_meta(std::string("d")
+                              .append(std::to_string(i % 13))
+                              .append("/s")
+                              .append(std::to_string(i))));
   }
   std::vector<common::Bytes> blocks;
   for (const auto& dir : seed.directories()) {
