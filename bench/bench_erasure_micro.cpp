@@ -7,6 +7,7 @@
 // google-benchmark flags.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -60,8 +61,8 @@ void BM_GF256MulAddRegionScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_GF256MulAddRegionScalar)->Arg(1 << 16)->Arg(1 << 20);
 
-// Fused k-source accumulation (what one parity row of RS encode costs).
-void BM_GF256MulAddRegionMulti(benchmark::State& state) {
+// Fused k-source row (what one parity row of RS encode costs).
+void BM_GF256MulRegionMulti(benchmark::State& state) {
   const auto& gf = erasure::GF256::instance();
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t size = static_cast<std::size_t>(state.range(1));
@@ -73,13 +74,13 @@ void BM_GF256MulAddRegionMulti(benchmark::State& state) {
   }
   common::Bytes dst(size, 0);
   for (auto _ : state) {
-    gf.mul_add_region_multi(dst, srcs, coeffs.data());
+    gf.mul_region_multi(dst, srcs, coeffs.data());
     benchmark::DoNotOptimize(dst.data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k * size));
 }
-BENCHMARK(BM_GF256MulAddRegionMulti)
+BENCHMARK(BM_GF256MulRegionMulti)
     ->Args({4, 1 << 16})
     ->Args({4, 1 << 20})
     ->Args({8, 1 << 20});
@@ -105,24 +106,93 @@ BENCHMARK(BM_RsEncode)
     ->Args({4, 2, 1 << 20})
     ->Args({8, 4, 1 << 20});
 
+// Encode into parity buffers reused across iterations: the GF work alone,
+// without the per-call allocation and zero-fill BM_RsEncode pays.
+void BM_RsEncodeInto(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  const std::size_t shard_size = static_cast<std::size_t>(state.range(2));
+  erasure::ReedSolomon rs(k, m);
+  const auto shards = make_shards(k, shard_size);
+  const std::vector<common::ByteSpan> data(shards.begin(), shards.end());
+  std::vector<common::Bytes> parity(m, common::Bytes(shard_size));
+  const std::vector<common::MutByteSpan> out(parity.begin(), parity.end());
+  for (auto _ : state) {
+    auto st = rs.encode_into(data, out);
+    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(parity[0].data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k * shard_size));
+}
+BENCHMARK(BM_RsEncodeInto)
+    ->Args({2, 1, 1 << 20})
+    ->Args({3, 1, 256 << 10})
+    ->Args({4, 2, 256 << 10})
+    ->Args({8, 4, 256 << 10})
+    ->Args({4, 2, 1 << 20})
+    ->Args({8, 4, 1 << 20});
+
+/// Worst-case survivors for RS(k, m): the first m data shards are missing.
+struct WorstCase {
+  std::vector<common::Bytes> data, parity;
+  std::vector<std::optional<common::ByteSpan>> views;
+  std::vector<std::size_t> wanted;
+
+  WorstCase(const erasure::ReedSolomon& rs, std::size_t shard_size)
+      : data(make_shards(rs.data_shards(), shard_size)),
+        parity(rs.encode(data).value()),
+        views(rs.total_shards()) {
+    const std::size_t k = rs.data_shards();
+    const std::size_t m = rs.parity_shards();
+    for (std::size_t i = m; i < k; ++i) views[i] = common::ByteSpan(data[i]);
+    for (std::size_t i = 0; i < m; ++i) views[k + i] = common::ByteSpan(parity[i]);
+    for (std::size_t i = 0; i < m; ++i) wanted.push_back(i);
+  }
+};
+
+// Outputs allocated and zero-filled per call, as a caller without a
+// reusable destination pays.
 void BM_RsReconstructWorstCase(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
   erasure::ReedSolomon rs(k, m);
-  const auto data = make_shards(k, 256 * 1024);
-  auto parity = rs.encode(data).value();
+  const WorstCase wc(rs, 256 * 1024);
   for (auto _ : state) {
-    std::vector<std::optional<common::Bytes>> shards(k + m);
-    // Worst case: the first m data shards are missing.
-    for (std::size_t i = m; i < k; ++i) shards[i] = data[i];
-    for (std::size_t i = 0; i < m; ++i) shards[k + i] = parity[i];
-    auto st = rs.reconstruct(shards);
+    std::vector<common::Bytes> out(m, common::Bytes(256 * 1024, 0));
+    const std::vector<common::MutByteSpan> dst(out.begin(), out.end());
+    auto st = rs.reconstruct_into(wc.views, wc.wanted, dst);
     benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(out[0].data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m * 256 * 1024));
 }
 BENCHMARK(BM_RsReconstructWorstCase)->Args({3, 1})->Args({4, 2})->Args({8, 4});
+
+// The same reconstruction into outputs reused across iterations: the
+// decode kernel alone.
+void BM_RsReconstructInto(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  const std::size_t m = static_cast<std::size_t>(state.range(1));
+  const std::size_t shard_size = static_cast<std::size_t>(state.range(2));
+  erasure::ReedSolomon rs(k, m);
+  const WorstCase wc(rs, shard_size);
+  std::vector<common::Bytes> out(m, common::Bytes(shard_size));
+  const std::vector<common::MutByteSpan> dst(out.begin(), out.end());
+  for (auto _ : state) {
+    auto st = rs.reconstruct_into(wc.views, wc.wanted, dst);
+    benchmark::DoNotOptimize(st);
+    benchmark::DoNotOptimize(out[0].data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(m * shard_size));
+}
+BENCHMARK(BM_RsReconstructInto)
+    ->Args({2, 1, 1 << 20})
+    ->Args({3, 1, 256 << 10})
+    ->Args({4, 2, 256 << 10})
+    ->Args({8, 4, 256 << 10});
 
 void BM_StriperEncode(benchmark::State& state) {
   erasure::Striper striper({.k = 3, .m = 1});
@@ -177,12 +247,11 @@ void BM_StriperDegradedDecode(benchmark::State& state) {
       common::patterned(static_cast<std::size_t>(state.range(0)), 8);
   const auto set = striper.encode(object);
   for (auto _ : state) {
-    std::vector<std::optional<common::Bytes>> shards(4);
-    shards[1] = set.shards[1].to_bytes();
-    shards[2] = set.shards[2].to_bytes();
-    shards[3] = set.shards[3].to_bytes();  // data shard 0 missing, use parity
-    auto decoded = striper.decode_degraded(set.geometry, set.object_size,
-                                           set.object_crc, std::move(shards));
+    std::vector<std::optional<common::Buffer>> shards(set.shards.begin(),
+                                                      set.shards.end());
+    shards[0].reset();  // data shard 0 missing, use parity
+    auto decoded =
+        striper.assemble(set.object_size, set.object_crc, std::move(shards));
     benchmark::DoNotOptimize(decoded);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *

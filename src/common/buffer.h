@@ -16,7 +16,8 @@
 //    a refbump for owning buffers and a deep copy only for borrowed ones.
 //  * MutableBuffer is the write-side arena: build bytes in place once
 //    (e.g. all stripe shards of an object), freeze() into an immutable
-//    Buffer, then slice per-fragment.
+//    Buffer, then slice per-fragment. MutableBuffer::for_overwrite() skips
+//    the zero-fill; it is only for outputs the producer writes in full.
 //
 // Every deep copy is reported to the copy meter, so benches can prove the
 // plane is as zero-copy as it claims.
@@ -96,7 +97,7 @@ class Buffer {
   }
 
   /// False only for borrow()ed views of foreign memory.
-  [[nodiscard]] bool owning() const { return block_ != nullptr || len_ == 0; }
+  [[nodiscard]] bool owning() const { return has_block() || len_ == 0; }
 
   /// A Buffer safe to store durably: refbump when already owning, deep copy
   /// (counted) when borrowed.
@@ -106,13 +107,12 @@ class Buffer {
   }
 
   /// Number of Buffer views sharing this block (0 for empty/borrowed).
-  [[nodiscard]] long use_count() const {
-    return block_ ? block_.use_count() : 0;
-  }
+  [[nodiscard]] long use_count() const { return block_.use_count(); }
 
   /// True when the two views alias the same underlying block.
   [[nodiscard]] bool same_block(const Buffer& other) const {
-    return block_ != nullptr && block_ == other.block_;
+    return has_block() && !block_.owner_before(other.block_) &&
+           !other.block_.owner_before(block_);
   }
 
   /// Owned copy of the bytes (always a deep copy, counted).
@@ -122,8 +122,9 @@ class Buffer {
   }
 
   /// Consumes the buffer into an owned vector. O(1) steal when this view is
-  /// the sole owner of its entire block; otherwise a copy-on-write fork
-  /// (deep copy, counted) so other views keep their snapshot.
+  /// the sole owner of its entire vector block; otherwise (shared, partial,
+  /// or a for_overwrite() arena) a copy-on-write fork (deep copy, counted)
+  /// so other views keep their snapshot.
   [[nodiscard]] Bytes into_bytes() && {
     if (block_ && block_.use_count() == 1 && ptr_ == block_->data() &&
         len_ == block_->size()) {
@@ -145,7 +146,7 @@ class Buffer {
   static std::optional<Buffer> join_contiguous(std::span<const Buffer> parts,
                                                std::size_t total_len) {
     if (parts.empty()) return std::nullopt;
-    if (!parts.front().block_) return std::nullopt;
+    if (!parts.front().has_block()) return std::nullopt;
     std::size_t run = parts.front().len_;
     for (std::size_t i = 1; i < parts.size(); ++i) {
       if (!parts[i].same_block(parts.front())) return std::nullopt;
@@ -171,47 +172,72 @@ class Buffer {
          std::size_t len)
       : block_(std::move(block)), ptr_(ptr), len_(len) {}
 
+  /// False for empty and borrowed buffers. Compares the control block
+  /// pointer with an empty one's, without touching the block.
+  [[nodiscard]] bool has_block() const {
+    return std::shared_ptr<Bytes>().owner_before(block_);
+  }
+
+  /// Shares ownership of the heap block. The stored pointer is the vector
+  /// when the block is one (the only kind into_bytes() can steal) and null
+  /// for a for_overwrite() arena, so identity checks compare owners.
   std::shared_ptr<Bytes> block_;
   const std::uint8_t* ptr_ = nullptr;
   std::size_t len_ = 0;
 };
 
-/// Write-side arena: a uniquely-owned zero-initialised block the producer
-/// fills in place, then freeze()s into an immutable Buffer to slice out.
+/// Write-side arena: a uniquely-owned block the producer fills in place,
+/// then freeze()s into an immutable Buffer to slice out.
 class MutableBuffer {
  public:
+  /// Zero-initialised arena.
   explicit MutableBuffer(std::size_t size)
-      : block_(std::make_shared<Bytes>(size, std::uint8_t{0})) {}
+      : MutableBuffer(std::make_shared<Bytes>(size, std::uint8_t{0})) {}
 
-  [[nodiscard]] std::size_t size() const { return block_->size(); }
-  [[nodiscard]] std::uint8_t* data() { return block_->data(); }
-  [[nodiscard]] MutByteSpan span() { return MutByteSpan(*block_); }
+  /// Write-once arena whose bytes start indeterminate: no zero-fill pass.
+  /// Only for outputs the producer overwrites in full before freeze()
+  /// exposes them (DESIGN.md §9): parity, reconstructed shards, gathers.
+  static MutableBuffer for_overwrite(std::size_t size) {
+    std::shared_ptr<std::uint8_t[]> raw =
+        std::make_shared_for_overwrite<std::uint8_t[]>(size);
+    std::uint8_t* data = raw.get();
+    return MutableBuffer(std::shared_ptr<Bytes>(std::move(raw), nullptr), data,
+                         size);
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::uint8_t* data() { return data_; }
+  [[nodiscard]] MutByteSpan span() { return MutByteSpan(data_, size_); }
   [[nodiscard]] MutByteSpan span(std::size_t offset, std::size_t length) {
-    assert(offset <= block_->size() && length <= block_->size() - offset);
-    return MutByteSpan(block_->data() + offset, length);
+    assert(offset <= size_ && length <= size_ - offset);
+    return MutByteSpan(data_ + offset, length);
   }
 
   /// Copies `src` into the arena at `offset` (counted).
   void write(std::size_t offset, ByteSpan src) {
-    assert(offset <= block_->size() && src.size() <= block_->size() - offset);
+    assert(offset <= size_ && src.size() <= size_ - offset);
     if (src.empty()) return;
     count_copied_bytes(src.size());
-    std::memcpy(block_->data() + offset, src.data(), src.size());
+    std::memcpy(data_ + offset, src.data(), src.size());
   }
 
-  /// Seals the arena. The MutableBuffer is spent afterwards. Writers may
-  /// keep MutByteSpans taken *before* freeze() and fill disjoint regions
-  /// that no Buffer view has been sliced over yet (the erasure write path
-  /// does this for parity, which is encoded after the data fragments are
-  /// already in flight).
+  /// Seals the arena. The MutableBuffer is spent afterwards. A MutByteSpan
+  /// taken before freeze() still writes into the frozen block; that is
+  /// only safe for a region no Buffer view has been sliced over yet.
   [[nodiscard]] Buffer freeze() && {
-    const std::uint8_t* ptr = block_->data();
-    const std::size_t len = block_->size();
-    return Buffer(std::move(block_), ptr, len);
+    return Buffer(std::move(block_), data_, size_);
   }
 
  private:
-  std::shared_ptr<Bytes> block_;
+  explicit MutableBuffer(std::shared_ptr<Bytes> vec)
+      : MutableBuffer(vec, vec->data(), vec->size()) {}
+  MutableBuffer(std::shared_ptr<Bytes> block, std::uint8_t* data,
+                std::size_t size)
+      : block_(std::move(block)), data_(data), size_(size) {}
+
+  std::shared_ptr<Bytes> block_;  // same ownership scheme as Buffer::block_
+  std::uint8_t* data_;
+  std::size_t size_;
 };
 
 /// Overflow-safe range containment: true iff [offset, offset+length) lies

@@ -1,8 +1,8 @@
 // Fixed-size thread pool for client-side CPU work. Provider requests never
 // run here: their latencies are virtual and gcsapi::AsyncBatch issues them
-// on the calling thread. What does run here is the compute a large stripe
-// write needs (parity encode in chunks, fragment CRCs), overlapped with
-// the caller's own fragment uploads.
+// on the calling thread. What does run here is the per-column compute of
+// large stripes: a write's parity encode and CRCs, a read's fragment
+// checks, gather and reconstruction.
 #pragma once
 
 #include <condition_variable>
@@ -40,6 +40,12 @@ class ThreadPool {
     return fut;
   }
 
+  /// Runs fn(i) for every i in [0, n) on the workers and the calling
+  /// thread together; returns once every call has returned. Helpers that
+  /// start after the work is gone exit at once, so the caller never waits
+  /// on a queued task. Must not be called from a pool task.
+  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
+
  private:
   void worker_loop();
 
@@ -49,5 +55,16 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stop_ = false;
 };
+
+/// ThreadPool::for_each on `pool`, or a plain loop on the calling thread
+/// when there is none.
+inline void for_each(ThreadPool* pool, std::size_t n,
+                     const std::function<void(std::size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->for_each(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
 
 }  // namespace hyrd::common

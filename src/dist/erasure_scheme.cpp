@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <future>
 
 #include "common/checksum.h"
 #include "common/copy_meter.h"
@@ -59,13 +58,100 @@ std::vector<std::size_t> slot_clients(const gcs::MultiCloudSession& session,
   return out;
 }
 
-/// True if fragment `slot` of `meta` passes its integrity check (or no
-/// digest is recorded for it).
-bool fragment_intact(const meta::FileMeta& meta, std::size_t slot,
-                     common::ByteSpan fragment) {
-  if (slot >= meta.fragment_crcs.size()) return true;   // no digest recorded
-  if (meta.fragment_crcs[slot] == 0) return true;       // digest unknown
-  return common::crc32c(fragment) == meta.fragment_crcs[slot];
+/// Object-byte CRCs of a read's intact data fragments, by slot, for
+/// Striper::assemble; unset where none was computed.
+using DataCrcs = std::vector<std::optional<std::uint32_t>>;
+
+constexpr std::size_t kColumn = erasure::Striper::kColumn;
+
+/// Checks fetched fragments (`frags[j]` holds slot `slots[j]`) against the
+/// digests in `meta`; a fragment without a recorded digest passes. One pass
+/// per byte: a data fragment's object bytes are hashed, that CRC is
+/// continued over the zero padding so the pad is verified too, and the
+/// object-byte CRC is left in `data_crcs`. The bytes are hashed in kColumn
+/// pieces (on `pool` and the caller when one is given and there is more
+/// than a column of them) whose CRCs fold with crc32c_combine. Returns one
+/// verdict per fragment.
+std::vector<bool> check_fragments(const meta::FileMeta& meta,
+                                  std::span<const std::size_t> slots,
+                                  std::span<const common::ByteSpan> frags,
+                                  common::ThreadPool* pool,
+                                  DataCrcs& data_crcs) {
+  struct Piece {
+    std::size_t frag = 0;
+    std::size_t off = 0, len = 0;
+    std::uint32_t crc = 0;
+  };
+  const auto digest = [&](std::size_t j) -> std::uint32_t {
+    return slots[j] < meta.fragment_crcs.size() ? meta.fragment_crcs[slots[j]]
+                                                : 0;  // 0: digest unknown
+  };
+  std::vector<std::size_t> object_bytes(frags.size());
+  std::vector<Piece> pieces;
+  std::size_t bytes = 0;
+  for (std::size_t j = 0; j < frags.size(); ++j) {
+    if (digest(j) == 0) continue;
+    const std::size_t size = frags[j].size();
+    bytes += size;
+    const std::size_t n =
+        slots[j] < meta.stripe_k
+            ? erasure::Striper::data_bytes(meta.size, size, slots[j])
+            : size;
+    object_bytes[j] = n;
+    // Cut at kColumn steps and where the padding begins.
+    for (std::size_t off = 0; off < n; off += kColumn) {
+      pieces.push_back({j, off, std::min(kColumn, n - off)});
+    }
+    for (std::size_t off = n; off < size; off += kColumn) {
+      pieces.push_back({j, off, std::min(kColumn, size - off)});
+    }
+  }
+  const auto hash = [&](std::size_t i) {
+    Piece& p = pieces[i];
+    p.crc = common::crc32c(frags[p.frag].subspan(p.off, p.len));
+  };
+  // Fragments that fit one column together are hashed inline: handing
+  // them to the pool costs more than it saves.
+  common::for_each(bytes > kColumn ? pool : nullptr, pieces.size(), hash);
+
+  // Pieces are in fragment, then offset order: fold each fragment's CRC,
+  // noting it where the object bytes end and the padding begins.
+  std::vector<std::uint32_t> object_crc(frags.size()), whole(frags.size());
+  for (const Piece& p : pieces) {
+    if (p.off == object_bytes[p.frag]) object_crc[p.frag] = whole[p.frag];
+    whole[p.frag] = common::crc32c_combine(whole[p.frag], p.crc, p.len);
+  }
+  std::vector<bool> intact(frags.size());
+  for (std::size_t j = 0; j < frags.size(); ++j) {
+    if (object_bytes[j] == frags[j].size()) object_crc[j] = whole[j];
+    intact[j] = digest(j) == 0 || whole[j] == digest(j);
+    if (digest(j) != 0 && intact[j] && slots[j] < meta.stripe_k) {
+      data_crcs[slots[j]] = object_crc[j];
+    }
+  }
+  return intact;
+}
+
+/// check_fragments over the successful gets in `gets` whose op_index is
+/// at least `from` (`op_slot` maps op_index to slot); one verdict per
+/// completion, false for failed or skipped ones.
+std::vector<bool> check_gets(const meta::FileMeta& meta,
+                             const std::vector<gcs::CloudCompletion>& gets,
+                             const std::vector<std::size_t>& op_slot,
+                             std::size_t from, common::ThreadPool& pool,
+                             DataCrcs& data_crcs) {
+  std::vector<std::size_t> at, slots;
+  std::vector<common::ByteSpan> frags;
+  for (std::size_t i = 0; i < gets.size(); ++i) {
+    if (gets[i].op_index < from || !gets[i].ok()) continue;
+    at.push_back(i);
+    slots.push_back(op_slot[gets[i].op_index]);
+    frags.push_back(gets[i].result.data);
+  }
+  const auto verdicts = check_fragments(meta, slots, frags, &pool, data_crcs);
+  std::vector<bool> out(gets.size());
+  for (std::size_t j = 0; j < at.size(); ++j) out[at[j]] = verdicts[j];
+  return out;
 }
 
 /// await_first predicate over a batch of fragment gets (`op_slot` maps
@@ -75,12 +161,18 @@ bool fragment_intact(const meta::FileMeta& meta, std::size_t slot,
 /// (-1 = not yet checked) and every fragment is CRC'd once.
 auto usable_fragment(const meta::FileMeta& meta,
                      const std::vector<std::size_t>& op_slot,
-                     std::vector<std::int8_t>& verdicts) {
+                     std::vector<std::int8_t>& verdicts, DataCrcs& data_crcs) {
   verdicts.assign(op_slot.size(), -1);
-  return [&meta, &op_slot, &verdicts](const gcs::CloudCompletion& c) {
+  return [&meta, &op_slot, &verdicts,
+          &data_crcs](const gcs::CloudCompletion& c) {
     if (!c.ok()) return false;
     std::int8_t& v = verdicts[c.op_index];
-    if (v < 0) v = fragment_intact(meta, op_slot[c.op_index], c.result.data);
+    if (v < 0) {
+      const std::size_t slot = op_slot[c.op_index];
+      const common::ByteSpan frag = c.result.data;
+      v = check_fragments(meta, {&slot, 1}, {&frag, 1}, nullptr,
+                          data_crcs)[0];
+    }
     return v == 1;
   };
 }
@@ -135,98 +227,95 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   // and the m parity shards live in one side arena, sliced per fragment.
   std::vector<common::Buffer> fragments(total);
   std::vector<common::ByteSpan> data_views(geom.k);
-  std::vector<common::ByteSpan> real_views(geom.k);  // data bytes, no padding
+  std::vector<std::size_t> real(geom.k);  // object bytes per data slot
   std::vector<std::size_t> pad_slots;
   for (std::size_t i = 0; i < geom.k; ++i) {
-    const std::size_t offset = i * shard_size;
-    const std::size_t avail = offset < data.size() ? data.size() - offset : 0;
-    real_views[i] = data.span().subspan(std::min(offset, data.size()),
-                                        std::min(avail, shard_size));
-    if (avail >= shard_size) {
-      fragments[i] = data.slice(offset, shard_size);
+    real[i] = erasure::Striper::data_bytes(data.size(), shard_size, i);
+    if (real[i] == shard_size) {
+      fragments[i] = data.slice(i * shard_size, shard_size);
       data_views[i] = fragments[i];
     } else {
       pad_slots.push_back(i);
     }
   }
 
-  common::MutableBuffer arena((pad_slots.size() + geom.m) * shard_size);
+  // Write-once side arena: [padded data slots | m parity shards]. Every
+  // byte is written exactly once below — a padded slot's object bytes
+  // copied in, its padding zeroed, parity overwritten by the encode — and
+  // only then is the arena frozen and sliced.
+  auto arena = common::MutableBuffer::for_overwrite(
+      (pad_slots.size() + geom.m) * shard_size);
   for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-    const common::ByteSpan real = real_views[pad_slots[j]];
-    if (!real.empty()) arena.write(j * shard_size, real);
+    data_views[pad_slots[j]] = arena.span(j * shard_size, shard_size);
   }
-  // Parity regions: writable spans taken before freeze(). The encode below
-  // fills them before any parity slice is submitted, and no other view
-  // covers them, so the late writes are invisible to concurrent readers of
-  // the tail fragments (disjoint regions of the same block).
   std::vector<common::MutByteSpan> parity_views(geom.m);
   for (std::size_t p = 0; p < geom.m; ++p) {
     parity_views[p] =
         arena.span((pad_slots.size() + p) * shard_size, shard_size);
   }
+
+  // Column pass on the session pool and this thread: each task owns one
+  // kColumn-byte column of every shard. It fills the padded slots' column,
+  // encodes the column's parity, then hashes the column's data and parity
+  // bytes while they are still in cache, so each byte is loaded from
+  // memory once. The column CRCs are folded per slot with crc32c_combine.
+  const erasure::ReedSolomon& rs = striper_.codec();
+  const std::size_t columns = (shard_size + kColumn - 1) / kColumn;
+  // Bytes of `slot` inside column `c` that its CRC covers: all of a parity
+  // column, only the object bytes of a data column.
+  const auto column_bytes = [&](std::size_t c, std::size_t slot) {
+    const std::size_t off = c * kColumn;
+    const std::size_t len = std::min(kColumn, shard_size - off);
+    if (slot >= geom.k) return len;
+    return real[slot] > off ? std::min(len, real[slot] - off) : std::size_t{0};
+  };
+  std::vector<std::uint32_t> column_crcs(columns * total);  // [column][slot]
+  session.pool().for_each(columns, [&](std::size_t c) {
+    const std::size_t off = c * kColumn;
+    const std::size_t len = std::min(kColumn, shard_size - off);
+    for (std::size_t j = 0; j < pad_slots.size(); ++j) {
+      const std::size_t slot = pad_slots[j];
+      const std::size_t n = column_bytes(c, slot);
+      arena.write(j * shard_size + off,
+                  data.span().subspan(std::min(slot * shard_size + off,
+                                               data.size()),
+                                      n));
+      std::memset(arena.data() + j * shard_size + off + n, 0, len - n);
+    }
+    std::vector<common::ByteSpan> d(geom.k);
+    for (std::size_t i = 0; i < geom.k; ++i) {
+      d[i] = data_views[i].subspan(off, len);
+    }
+    std::vector<common::MutByteSpan> pv(geom.m);
+    for (std::size_t p = 0; p < geom.m; ++p) {
+      pv[p] = parity_views[p].subspan(off, len);
+    }
+    (void)rs.encode_into(d, pv);
+    std::uint32_t* crcs = column_crcs.data() + c * total;
+    for (std::size_t i = 0; i < geom.k; ++i) {
+      crcs[i] = common::crc32c(d[i].first(column_bytes(c, i)));
+    }
+    for (std::size_t p = 0; p < geom.m; ++p) {
+      crcs[geom.k + p] = common::crc32c(pv[p]);
+    }
+  });
+
   common::Buffer side = std::move(arena).freeze();
   for (std::size_t j = 0; j < pad_slots.size(); ++j) {
     fragments[pad_slots[j]] = side.slice(j * shard_size, shard_size);
-    data_views[pad_slots[j]] = fragments[pad_slots[j]];
+  }
+  for (std::size_t p = 0; p < geom.m; ++p) {
+    fragments[geom.k + p] =
+        side.slice((pad_slots.size() + p) * shard_size, shard_size);
   }
 
-  // Pipeline: parity encode and checksums run on the session pool while
-  // the k data fragments (available immediately) are dispatched. Parity
-  // is encoded in independent chunks so the pool can spread the GF work.
-  // Each data byte is hashed once: a slot's CRC covers its real bytes, the
-  // object CRC combines those, and a padded slot's fragment CRC extends
-  // its real-byte CRC over the zero padding.
-  auto& pool = session.pool();
-  const erasure::ReedSolomon& rs = striper_.codec();
-  constexpr std::size_t kEncodeChunk = 256 * 1024;
-  std::vector<std::future<void>> encode_futs;
-  for (std::size_t off = 0; off < shard_size; off += kEncodeChunk) {
-    const std::size_t len = std::min(kEncodeChunk, shard_size - off);
-    encode_futs.push_back(pool.submit([&geom, &rs, &data_views, &parity_views,
-                                       off, len] {
-      std::vector<common::ByteSpan> d(geom.k);
-      for (std::size_t i = 0; i < geom.k; ++i) {
-        d[i] = data_views[i].subspan(off, len);
-      }
-      std::vector<common::MutByteSpan> pv(geom.m);
-      for (std::size_t p = 0; p < geom.m; ++p) {
-        pv[p] = parity_views[p].subspan(off, len);
-      }
-      (void)rs.encode_into(d, pv);
-    }));
-  }
-  std::vector<std::future<std::uint32_t>> crc_futs(total);
-  for (std::size_t i = 0; i < geom.k; ++i) {
-    crc_futs[i] = pool.submit(
-        [view = real_views[i]] { return common::crc32c(view); });
-  }
-
+  // One batch for the whole stripe, one concurrent round in virtual time.
+  gcs::AsyncBatch batch(session);
   std::vector<cloud::ObjectKey> keys;
   keys.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     keys.push_back({container_, fragment_object_name(path, 's', i)});
-  }
-
-  // One batch for the whole stripe: the k data fragments (available
-  // immediately) dispatch while parity encodes; parity fragments join the
-  // same batch once the encode lands. All ops carry offset 0, so the batch
-  // is one concurrent round in virtual time — splitting the real
-  // submission into two waves only overlaps client CPU with I/O.
-  gcs::AsyncBatch batch(session);
-  for (std::size_t i = 0; i < geom.k; ++i) {
     batch.submit(gcs::CloudOp::put(shard_clients[i], keys[i], fragments[i]));
-  }
-
-  for (auto& f : encode_futs) f.get();
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    fragments[geom.k + p] =
-        side.slice((pad_slots.size() + p) * shard_size, shard_size);
-    crc_futs[geom.k + p] = pool.submit(
-        [view = fragments[geom.k + p].span()] { return common::crc32c(view); });
-  }
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    batch.submit(gcs::CloudOp::put(shard_clients[geom.k + p], keys[geom.k + p],
-                                   fragments[geom.k + p]));
   }
 
   gcs::BatchStats stats;
@@ -241,13 +330,19 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   m.stripe_k = static_cast<std::uint32_t>(geom.k);
   m.stripe_m = static_cast<std::uint32_t>(geom.m);
   m.shard_size = shard_size;
+  // A slot's CRC folds its column CRCs; a data slot's covers its object
+  // bytes, feeds the object CRC and is then extended over the zero padding.
   m.fragment_crcs.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
-    std::uint32_t crc = crc_futs[i].get();
+    std::uint32_t crc = 0;
+    for (std::size_t c = 0; c < columns; ++c) {
+      if (const std::size_t n = column_bytes(c, i); n > 0) {
+        crc = common::crc32c_combine(crc, column_crcs[c * total + i], n);
+      }
+    }
     if (i < geom.k) {
-      const std::size_t real = real_views[i].size();
-      m.crc = common::crc32c_combine(m.crc, crc, real);
-      crc = common::crc32c_zero_extend(crc, shard_size - real);
+      m.crc = common::crc32c_combine(m.crc, crc, real[i]);
+      crc = common::crc32c_zero_extend(crc, shard_size - real[i]);
     }
     m.fragment_crcs.push_back(crc);
   }
@@ -310,6 +405,7 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
   };
 
   std::vector<std::optional<common::Buffer>> shards(geom.total());
+  DataCrcs data_crcs(geom.k);
 
   if (read_strategy_ == ErasureReadStrategy::kFastestK) {
     // First-k-of-n: request every reachable fragment and complete at the
@@ -324,7 +420,7 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       submit_slot(i, 0);
     }
     std::vector<std::int8_t> verdicts;
-    const auto usable = usable_fragment(meta, op_slot, verdicts);
+    const auto usable = usable_fragment(meta, op_slot, verdicts, data_crcs);
     gcs::BatchStats stats;
     auto completions = batch.await_first(geom.k, &stats, usable);
     result.latency += stats.latency;
@@ -355,10 +451,12 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     result.latency += stats.latency;
 
     bool all_fetched_ok = !phase1.empty();
-    for (auto& c : phase1) {
-      const std::size_t slot = op_slot[c.op_index];
-      if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
-        shards[slot] = std::move(c.result.data);
+    const auto intact1 =
+        check_gets(meta, phase1, op_slot, 0, session.pool(), data_crcs);
+    for (std::size_t i = 0; i < phase1.size(); ++i) {
+      auto& c = phase1[i];
+      if (intact1[i]) {
+        shards[op_slot[c.op_index]] = std::move(c.result.data);
       } else {
         // Unreachable — or silently corrupted: a failed integrity check
         // turns the fragment into an erasure and reconstruction takes over.
@@ -376,7 +474,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
     if (all_fetched_ok && have_all_data) {
       // Fast path: fragments that came back as adjacent slices of the
       // writer's arena reassemble in O(1); anything else gathers once.
-      auto object = striper_.assemble(meta.size, meta.crc, std::move(shards));
+      auto object = striper_.assemble(meta.size, meta.crc, std::move(shards),
+                                      data_crcs, &session.pool());
       if (!object.is_ok()) {
         result.status = object.status();
         return result;
@@ -407,17 +506,20 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       }
       auto all_ops = batch.await_all(&stats);
       result.latency = stats.latency;
-      for (auto& c : all_ops) {
-        if (c.op_index < phase1_ops) continue;  // consumed above
-        const std::size_t slot = op_slot[c.op_index];
-        if (c.ok() && fragment_intact(meta, slot, c.result.data)) {
-          shards[slot] = std::move(c.result.data);
+      // Phase-1 completions were consumed above; check only the new ones.
+      const auto intact2 = check_gets(meta, all_ops, op_slot, phase1_ops,
+                                      session.pool(), data_crcs);
+      for (std::size_t i = 0; i < all_ops.size(); ++i) {
+        if (intact2[i]) {
+          shards[op_slot[all_ops[i].op_index]] =
+              std::move(all_ops[i].result.data);
         }
       }
     }
   }
 
-  auto object = striper_.assemble(meta.size, meta.crc, std::move(shards));
+  auto object = striper_.assemble(meta.size, meta.crc, std::move(shards),
+                                  data_crcs, &session.pool());
   if (!object.is_ok()) {
     result.status = object.status();
     return result;
@@ -494,8 +596,7 @@ WriteResult ErasureScheme::update_range(gcs::MultiCloudSession& session,
 
   // The code is linear bytewise, so parity deltas apply per block.
   const common::Buffer& old_block = gets[0].result.data;
-  erasure::ReedSolomon rs(geom.k, geom.m);
-  auto deltas = rs.parity_delta(first_shard, old_block, new_bytes);
+  auto deltas = striper_.codec().parity_delta(first_shard, old_block, new_bytes);
   assert(deltas.is_ok());
   std::vector<common::Bytes> new_parity_blocks;
   new_parity_blocks.reserve(geom.m);
@@ -552,7 +653,7 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   const auto clients = slot_clients(session, meta);
 
   // Fetch every fragment not on `provider`.
-  std::vector<std::optional<common::Bytes>> shards(geom.total());
+  std::vector<std::optional<common::Buffer>> shards(geom.total());
   std::vector<std::size_t> batch_slots;
   std::vector<std::size_t> target_slots;
   for (std::size_t i = 0; i < geom.total(); ++i) {
@@ -576,27 +677,31 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   // Reconstruction needs any k intact survivors; under kFastestK the
   // rebuild is charged at the k-th usable arrival.
   std::vector<std::int8_t> verdicts;
-  const auto usable = usable_fragment(meta, batch_slots, verdicts);
+  DataCrcs data_crcs(geom.k);  // unused: rebuilt fragments are not reassembled
+  const auto usable = usable_fragment(meta, batch_slots, verdicts, data_crcs);
   gcs::BatchStats stats;
-  auto gets = read_strategy_ == ErasureReadStrategy::kFastestK
-                  ? batch.await_first(geom.k, &stats, usable)
-                  : batch.await_all(&stats);
+  const bool fastest = read_strategy_ == ErasureReadStrategy::kFastestK;
+  auto gets = fastest ? batch.await_first(geom.k, &stats, usable)
+                      : batch.await_all(&stats);
   if (latency != nullptr) *latency += stats.latency;
-  for (auto& c : gets) {
-    // Corrupt survivors must not poison the rebuilt fragments.
-    if (usable(c)) {
-      shards[batch_slots[c.op_index]] = std::move(c.result.data).into_bytes();
+  // Corrupt survivors must not poison the rebuilt fragments.
+  std::vector<bool> intact =
+      fastest ? std::vector<bool>(gets.size())
+              : check_gets(meta, gets, batch_slots, 0, session.pool(), data_crcs);
+  for (std::size_t i = 0; i < gets.size(); ++i) {
+    if (fastest) intact[i] = usable(gets[i]);
+    if (intact[i]) {
+      shards[batch_slots[gets[i].op_index]] = std::move(gets[i].result.data);
     }
   }
-
-  erasure::ReedSolomon rs(geom.k, geom.m);
-  if (auto st = rs.reconstruct(shards); !st.is_ok()) return st;
+  auto rebuilt = striper_.rebuild(shards, target_slots, &session.pool());
+  if (!rebuilt.is_ok()) return rebuilt.status();
 
   std::vector<std::pair<std::string, common::Buffer>> out;
   out.reserve(target_slots.size());
-  for (std::size_t slot : target_slots) {
-    out.emplace_back(meta.locations[slot].object_name,
-                     common::Buffer::from(std::move(*shards[slot])));
+  for (std::size_t i = 0; i < target_slots.size(); ++i) {
+    out.emplace_back(meta.locations[target_slots[i]].object_name,
+                     std::move(rebuilt.value()[i]));
   }
   return out;
 }

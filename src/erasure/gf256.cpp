@@ -295,18 +295,24 @@ void GF256::mul_region(common::MutByteSpan dst, common::ByteSpan src,
                 nib_hi_[c].data());
 }
 
-void GF256::mul_add_region_multi(common::MutByteSpan dst,
-                                 std::span<const common::ByteSpan> srcs,
-                                 const std::uint8_t* coeffs) const {
+void GF256::mul_region_multi(common::MutByteSpan dst,
+                             std::span<const common::ByteSpan> srcs,
+                             const std::uint8_t* coeffs) const {
   // Chunk so the dst slice stays hot in L1 while every source is folded
   // in — one pass over dst per chunk instead of one per source.
   constexpr std::size_t kChunk = 8 * 1024;
   const std::size_t n = dst.size();
+  if (srcs.empty()) {
+    if (n > 0) std::memset(dst.data(), 0, n);
+    return;
+  }
   for (std::size_t off = 0; off < n; off += kChunk) {
     const std::size_t len = std::min(kChunk, n - off);
     auto d = dst.subspan(off, len);
-    for (std::size_t j = 0; j < srcs.size(); ++j) {
-      assert(srcs[j].size() == n);
+    assert(srcs[0].size() >= n);
+    mul_region(d, srcs[0].subspan(off, len), coeffs[0]);
+    for (std::size_t j = 1; j < srcs.size(); ++j) {
+      assert(srcs[j].size() >= n);
       mul_add_region(d, srcs[j].subspan(off, len), coeffs[j]);
     }
   }

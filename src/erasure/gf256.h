@@ -53,13 +53,15 @@ class GF256 {
   void mul_region(common::MutByteSpan dst, common::ByteSpan src,
                   std::uint8_t c) const;
 
-  /// Fused multi-source kernel: dst[i] ^= XOR_j coeffs[j] * srcs[j][i].
-  /// Processes the region in L1-sized chunks so dst is read/written once
-  /// per chunk instead of once per source — the encode path for a whole
-  /// parity row in a single pass over memory.
-  void mul_add_region_multi(common::MutByteSpan dst,
-                            std::span<const common::ByteSpan> srcs,
-                            const std::uint8_t* coeffs) const;
+  /// Fused multi-source kernel: dst[i] = XOR_j coeffs[j] * srcs[j][i].
+  /// Processes the region in L1-sized chunks so dst is written once per
+  /// chunk instead of once per source — a whole parity (or reconstructed)
+  /// row in a single pass over memory. dst's prior contents are never
+  /// read, so it may be uninitialised memory. Sources may be longer than
+  /// dst; only their first dst.size() bytes are used.
+  void mul_region_multi(common::MutByteSpan dst,
+                        std::span<const common::ByteSpan> srcs,
+                        const std::uint8_t* coeffs) const;
 
   // Scalar reference kernels: the seed's per-byte product-table algorithm,
   // retained so property tests can check the wide kernels byte for byte.

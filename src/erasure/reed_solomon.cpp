@@ -18,7 +18,7 @@ common::Result<std::vector<common::Bytes>> ReedSolomon::encode(
   }
   const std::size_t shard_size = data[0].size();
   std::vector<common::ByteSpan> views(data.begin(), data.end());
-  std::vector<common::Bytes> parity(m_, common::Bytes(shard_size, 0));
+  std::vector<common::Bytes> parity(m_, common::Bytes(shard_size));
   std::vector<common::MutByteSpan> parity_views(parity.begin(), parity.end());
   if (auto st = encode_into(views, parity_views); !st.is_ok()) return st;
   return parity;
@@ -43,72 +43,63 @@ common::Status ReedSolomon::encode_into(
   }
   const auto& gf = GF256::instance();
   for (std::size_t p = 0; p < m_; ++p) {
-    gf.mul_add_region_multi(parity[p], data, generator_.row(k_ + p));
+    gf.mul_region_multi(parity[p], data, generator_.row(k_ + p));
   }
   return common::Status::ok();
 }
 
-common::Status ReedSolomon::reconstruct(
-    std::vector<std::optional<common::Bytes>>& shards) const {
+common::Status ReedSolomon::reconstruct_into(
+    std::span<const std::optional<common::ByteSpan>> shards,
+    std::span<const std::size_t> wanted,
+    std::span<const common::MutByteSpan> out) const {
   if (shards.size() != k_ + m_) {
     return common::invalid_argument("reconstruct expects k+m shard slots");
   }
-
-  std::vector<std::size_t> present;
+  if (wanted.size() != out.size()) {
+    return common::invalid_argument("one output per wanted slot");
+  }
+  std::vector<std::size_t> rows;  // the first k present slots
+  rows.reserve(k_);
   std::size_t shard_size = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (shards[i].has_value()) {
-      if (present.empty()) {
-        shard_size = shards[i]->size();
-      } else if (shards[i]->size() != shard_size) {
-        return common::invalid_argument("present shards differ in size");
-      }
-      present.push_back(i);
+    if (!shards[i].has_value()) continue;
+    if (rows.empty()) shard_size = shards[i]->size();
+    if (shards[i]->size() != shard_size) {
+      return common::invalid_argument("present shards differ in size");
     }
+    if (rows.size() < k_) rows.push_back(i);
   }
-  if (present.size() < k_) {
+  if (rows.size() < k_) {
     return common::data_loss("fewer than k shards present");
   }
-
-  bool any_data_missing = false;
-  for (std::size_t i = 0; i < k_; ++i) {
-    if (!shards[i].has_value()) any_data_missing = true;
+  for (std::size_t j = 0; j < wanted.size(); ++j) {
+    if (wanted[j] >= k_ + m_ || out[j].size() > shard_size) {
+      return common::invalid_argument("bad wanted slot or output size");
+    }
   }
+  if (wanted.empty()) return common::Status::ok();
 
-  const auto& gf = GF256::instance();
-
-  if (any_data_missing) {
-    // Solve for the data vector using the first k present shards:
-    // selected_rows * data = present_shards  =>  data = inv(rows) * shards.
-    std::vector<std::size_t> rows(present.begin(), present.begin() + k_);
+  // coeffs = G[wanted] * inv(G[rows]): row j expresses slot wanted[j] over
+  // the k survivors. When the survivors are the k data slots, inv is the
+  // identity and the rows are the generator's own.
+  Matrix coeffs = generator_.select_rows(
+      std::vector<std::size_t>(wanted.begin(), wanted.end()));
+  bool rows_are_data = true;
+  for (std::size_t s = 0; s < k_; ++s) rows_are_data &= rows[s] == s;
+  if (!rows_are_data) {
     auto inv = generator_.select_rows(rows).inverted();
     if (!inv.is_ok()) {
       return common::internal_error("generator submatrix not invertible");
     }
-    const Matrix& decode = inv.value();
-
-    std::vector<common::ByteSpan> srcs;
-    srcs.reserve(k_);
-    for (std::size_t s = 0; s < k_; ++s) srcs.emplace_back(*shards[rows[s]]);
-    // Only solve for the shards that are actually missing; present data
-    // shards are already correct and skipping them skips k region passes.
-    for (std::size_t d = 0; d < k_; ++d) {
-      if (shards[d].has_value()) continue;
-      common::Bytes out(shard_size, 0);
-      gf.mul_add_region_multi(out, srcs, decode.row(d));
-      shards[d] = std::move(out);
-    }
+    coeffs = coeffs.mul(inv.value());
   }
 
-  // All data shards now exist; recompute any missing parity directly.
-  for (std::size_t p = 0; p < m_; ++p) {
-    if (shards[k_ + p].has_value()) continue;
-    common::Bytes out(shard_size, 0);
-    std::vector<common::ByteSpan> srcs;
-    srcs.reserve(k_);
-    for (std::size_t d = 0; d < k_; ++d) srcs.emplace_back(*shards[d]);
-    gf.mul_add_region_multi(out, srcs, generator_.row(k_ + p));
-    shards[k_ + p] = std::move(out);
+  std::vector<common::ByteSpan> srcs;
+  srcs.reserve(k_);
+  for (std::size_t s = 0; s < k_; ++s) srcs.push_back(*shards[rows[s]]);
+  const auto& gf = GF256::instance();
+  for (std::size_t j = 0; j < wanted.size(); ++j) {
+    gf.mul_region_multi(out[j], srcs, coeffs.row(j));
   }
   return common::Status::ok();
 }

@@ -29,19 +29,27 @@ class ReedSolomon {
   [[nodiscard]] common::Result<std::vector<common::Bytes>> encode(
       std::span<const common::Bytes> data) const;
 
-  /// Allocation-free encode into caller-provided parity buffers (which
-  /// must be zero-filled and sized like the data shards). The pipelined
-  /// write path uses this with reused scratch buffers, and chunk-parallel
-  /// callers may pass sub-ranges of every shard: parity is positional.
+  /// Allocation-free encode into caller-provided parity buffers sized
+  /// like the data shards. Parity is overwritten, never read, so the
+  /// buffers need no zero-fill (write-once arenas, DESIGN.md §9). The
+  /// stripe writer passes uninitialised arena memory, one column of every
+  /// shard at a time: parity is positional.
   [[nodiscard]] common::Status encode_into(
       std::span<const common::ByteSpan> data,
       std::span<const common::MutByteSpan> parity) const;
 
-  /// Fills in missing shards in place. `shards` holds k+m entries in code
-  /// order (data first, parity after); std::nullopt marks a missing shard.
-  /// Fails with kDataLoss if fewer than k shards are present.
-  [[nodiscard]] common::Status reconstruct(
-      std::vector<std::optional<common::Bytes>>& shards) const;
+  /// Computes shard slot `wanted[j]` (data or parity) into `out[j]` from
+  /// the present shards, which are only read. `shards` holds k+m entries
+  /// in code order (data first, parity after); std::nullopt marks a
+  /// missing shard. Each wanted slot is one coefficient row
+  /// G[w] * inv(G[rows]) applied to k survivors and overwrites its output,
+  /// which needs no zero-fill. An output may be shorter than the shards:
+  /// only that prefix is computed. Fails with kDataLoss if fewer than k
+  /// shards are present.
+  [[nodiscard]] common::Status reconstruct_into(
+      std::span<const std::optional<common::ByteSpan>> shards,
+      std::span<const std::size_t> wanted,
+      std::span<const common::MutByteSpan> out) const;
 
   /// True iff the parity shards are consistent with the data shards.
   [[nodiscard]] bool verify(std::span<const common::Bytes> shards) const;

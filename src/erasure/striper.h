@@ -8,12 +8,14 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/buffer.h"
 #include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "erasure/reed_solomon.h"
 
 namespace hyrd::erasure {
@@ -42,6 +44,10 @@ struct StripeSet {
 
 class Striper {
  public:
+  /// Width of the column-parallel stripe passes: each task encodes,
+  /// hashes, copies or reconstructs one kColumn-byte column of every shard.
+  static constexpr std::size_t kColumn = 256 * 1024;
+
   explicit Striper(StripeGeometry geometry);
 
   [[nodiscard]] const StripeGeometry& geometry() const { return geometry_; }
@@ -53,27 +59,40 @@ class Striper {
   /// stores a real fragment.
   [[nodiscard]] StripeSet encode(common::ByteSpan object) const;
 
-  /// Reassembles the original object from a full shard set. When the data
-  /// shards are adjacent views of one block (the common case: slices of
-  /// the writer's arena read back from the store), this is O(1) — no
-  /// gather-copy at all; otherwise the k shards gather into one fresh
+  /// Reassembles the object from fragments: `shards` holds total() slots
+  /// in code order, std::nullopt marking a missing one. Survivors are only
+  /// read. Missing data slots are reconstructed from any k present shards
+  /// straight into the output. When all k data slots are present and are
+  /// adjacent views of one block (slices of an encode arena), this is
+  /// O(1). Otherwise each object byte is written once into one fresh
   /// allocation.
-  [[nodiscard]] common::Result<common::Buffer> decode(
-      const StripeSet& set) const;
-
-  /// Reassembly straight from read-path fragments (any of the `total()`
-  /// slots may be missing). With all k data shards present this is
-  /// decode()'s zero-copy/gather path; otherwise missing shards are
-  /// reconstructed first (any k suffice). CRC-checks the object.
+  ///
+  /// The object is checked against `crc` (0 = digest unknown) without
+  /// hashing a byte twice: `data_crcs[i]`, when the caller already has it,
+  /// is the CRC32C of present data slot i's object bytes
+  /// (data_bytes(object_size, shard_size, i) of them) and is folded in with
+  /// crc32c_combine. Reconstructed slots and slots without one are hashed
+  /// here. With a `pool`, the copy, reconstruction and hashing run
+  /// column-parallel on it and the calling thread.
   [[nodiscard]] common::Result<common::Buffer> assemble(
       std::uint64_t object_size, std::uint32_t crc,
-      std::vector<std::optional<common::Buffer>> shards) const;
+      std::vector<std::optional<common::Buffer>> shards,
+      std::span<const std::optional<std::uint32_t>> data_crcs = {},
+      common::ThreadPool* pool = nullptr) const;
 
-  /// Degraded decode: reconstructs missing shards first (any k suffice),
-  /// then reassembles and CRC-checks the object.
-  [[nodiscard]] common::Result<common::Buffer> decode_degraded(
-      StripeGeometry geometry, std::uint64_t object_size, std::uint32_t crc,
-      std::vector<std::optional<common::Bytes>> shards) const;
+  /// Rebuilds shard slots `wanted` (data or parity) from the present
+  /// `shards` (total() slots in code order, any k suffice, only read), each
+  /// into a fresh write-once buffer. Column-parallel on `pool` when given.
+  [[nodiscard]] common::Result<std::vector<common::Buffer>> rebuild(
+      std::span<const std::optional<common::Buffer>> shards,
+      std::span<const std::size_t> wanted,
+      common::ThreadPool* pool = nullptr) const;
+
+  /// Bytes of the object held by data slot `slot`; the rest of the shard
+  /// is zero padding.
+  [[nodiscard]] static std::size_t data_bytes(std::uint64_t object_size,
+                                              std::size_t shard_size,
+                                              std::size_t slot);
 
   /// Shard size implied by an object size under this geometry.
   [[nodiscard]] std::size_t shard_size_for(std::uint64_t object_size) const;

@@ -25,6 +25,37 @@ TEST(ThreadPool, ZeroThreadRequestStillWorks) {
   EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
 }
 
+TEST(ThreadPool, ForEachRunsEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                              std::size_t{7}, std::size_t{500}}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.for_each(n, [&](std::size_t i) { hits[i]++; });
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "n=" << n << " i=" << i;
+    }
+  }
+}
+
+TEST(ThreadPool, ForEachFromManyCallersShareOnePool) {
+  // Callers that each fan out over the same pool all finish: every caller
+  // drains its own work, so a busy pool never blocks it.
+  ThreadPool pool(2);
+  std::atomic<long> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        pool.for_each(16, [&](std::size_t i) {
+          total += static_cast<long>(i);
+        });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(total.load(), 4L * 50 * (15 * 16 / 2));
+}
+
 TEST(ThreadPool, ManyTasksComplete) {
   ThreadPool pool(4);
   std::atomic<int> count{0};

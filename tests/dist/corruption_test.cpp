@@ -3,6 +3,8 @@
 // property HAIL-style systems — cited by the paper — provide).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "cloud/profiles.h"
 #include "core/hyrd_client.h"
 #include "core/racs_client.h"
@@ -22,13 +24,15 @@ class CorruptionTest : public ::testing::Test {
               session_->index_of("AmazonS3")};
   }
 
-  void corrupt_fragment(const meta::FileMeta& m, std::size_t slot) {
+  /// Flips the byte at `at` of the stored fragment (default: its middle).
+  void corrupt_fragment(const meta::FileMeta& m, std::size_t slot,
+                        std::optional<std::size_t> at = std::nullopt) {
     auto* provider = registry_.find(m.locations[slot].provider);
     auto current = provider->raw_store().get("data",
                                              m.locations[slot].object_name);
     ASSERT_TRUE(current.is_ok());
     common::Bytes bad = current.value().to_bytes();
-    bad[bad.size() / 2] ^= 0xFF;
+    bad[at.value_or(bad.size() / 2)] ^= 0xFF;
     provider->raw_store().put("data", m.locations[slot].object_name, bad);
   }
 
@@ -110,6 +114,31 @@ TEST_F(CorruptionTest, RebuildRefusesCorruptSurvivors) {
       scheme_.rebuild_fragments_for(*session_, w.meta,
                                     w.meta.locations[0].provider, nullptr);
   EXPECT_FALSE(rebuilt.is_ok());
+}
+
+TEST_F(CorruptionTest, CorruptPadByteOfTailFragmentIsRejected) {
+  // 2998 bytes over k=3: shards of 1000 bytes, and the tail data slot
+  // holds 998 object bytes plus 2 bytes of zero padding. A flipped pad
+  // byte changes no object byte, but the fragment no longer matches what
+  // was written (and its parity): the read must not trust it, and a
+  // rebuild must not take it as a survivor. A check that only hashed the
+  // object bytes and zero-extended the CRC would accept it.
+  const auto data = common::patterned(2998, 9);
+  auto w = scheme_.write(*session_, "/odd", data, slots_);
+  ASSERT_TRUE(w.status.is_ok());
+  ASSERT_EQ(w.meta.shard_size, 1000u);
+  corrupt_fragment(w.meta, 2, 999);
+
+  auto r = scheme_.read(*session_, w.meta);
+  ASSERT_TRUE(r.status.is_ok());
+  EXPECT_TRUE(r.degraded);  // slot 2 failed its check; parity stood in
+  EXPECT_EQ(r.data, data);
+
+  // Rebuilding slot 0 needs slots 1-3; slot 2 is refused, so only two
+  // intact survivors remain for k = 3.
+  auto rebuilt = scheme_.rebuild_fragments_for(
+      *session_, w.meta, w.meta.locations[0].provider, nullptr);
+  EXPECT_EQ(rebuilt.status().code(), common::StatusCode::kDataLoss);
 }
 
 TEST_F(CorruptionTest, HyRDEndToEndSurvivesFragmentCorruption) {

@@ -6,6 +6,7 @@
 
 #include "cloud/profiles.h"
 #include "common/checksum.h"
+#include "common/copy_meter.h"
 
 namespace hyrd::dist {
 namespace {
@@ -285,6 +286,57 @@ TEST_F(ErasureSchemeTest, RebuildFragmentsForProvider) {
   EXPECT_EQ(rebuilt.value()[0].first, frag_name);
   EXPECT_EQ(rebuilt.value()[0].second, original.value());
   EXPECT_GT(latency, 0);
+}
+
+// Copy-meter pins: deterministic counts of the bytes the stripe data
+// plane memcpys. They may only ever tighten.
+TEST_F(ErasureSchemeTest, NormalReadOfSlicedFragmentsCopiesNothing) {
+  // 3 MiB over k=3: every data fragment is a slice of the caller's block,
+  // so the read reassembles them by refbump.
+  const auto data = common::Buffer::from(common::patterned(3 << 20, 30));
+  auto w = scheme_.write(*session_, "/big", data, slots_);
+  ASSERT_TRUE(w.status.is_ok());
+  common::reset_copied_bytes();
+  auto r = scheme_.read(*session_, w.meta);
+  EXPECT_EQ(common::copied_bytes(), 0u);
+  ASSERT_TRUE(r.status.is_ok());
+  EXPECT_FALSE(r.degraded);
+  EXPECT_EQ(r.data, data);
+}
+
+TEST_F(ErasureSchemeTest, DegradedReadCopiesOnlyPresentDataBytes) {
+  // (3 MiB + 1) over k=3: shards of 1 MiB + 1, the tail slot holds
+  // 1 MiB - 1 object bytes. With slot 0 offline, slot 1 and slot 2's object
+  // bytes are copied into the output and slot 0 is rebuilt in place there.
+  const auto data = common::patterned((3 << 20) + 1, 31);
+  auto w = scheme_.write(*session_, "/big", data, slots_);
+  ASSERT_TRUE(w.status.is_ok());
+  registry_.find(w.meta.locations[0].provider)->set_online(false);
+  common::reset_copied_bytes();
+  auto r = scheme_.read(*session_, w.meta);
+  EXPECT_EQ(common::copied_bytes(), ((1u << 20) + 1) + ((1u << 20) - 1));
+  ASSERT_TRUE(r.status.is_ok());
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.data, data);
+}
+
+TEST_F(ErasureSchemeTest, RebuildCopiesNothing) {
+  const auto data = common::patterned((2 << 20) + 5, 32);
+  auto w = scheme_.write(*session_, "/big", data, slots_);
+  ASSERT_TRUE(w.status.is_ok());
+  for (std::size_t slot : {std::size_t{0}, std::size_t{2}, std::size_t{3}}) {
+    const auto& loc = w.meta.locations[slot];
+    auto original = registry_.find(loc.provider)->raw_store().get("data",
+                                                                  loc.object_name);
+    ASSERT_TRUE(original.is_ok());
+    common::reset_copied_bytes();
+    auto rebuilt =
+        scheme_.rebuild_fragments_for(*session_, w.meta, loc.provider, nullptr);
+    EXPECT_EQ(common::copied_bytes(), 0u) << "slot " << slot;
+    ASSERT_TRUE(rebuilt.is_ok()) << "slot " << slot;
+    ASSERT_EQ(rebuilt.value().size(), 1u);
+    EXPECT_EQ(rebuilt.value()[0].second, original.value()) << "slot " << slot;
+  }
 }
 
 TEST_F(ErasureSchemeTest, LargeReadLatencyBeatsSingleFullTransfer) {

@@ -183,8 +183,12 @@ TEST(GF256, MulRegionWideMatchesReferenceAllSizes) {
   }
 }
 
-TEST(GF256, MulAddRegionMultiMatchesSequentialApplication) {
-  for (const std::size_t k : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+TEST(GF256, MulRegionMultiMatchesSequentialApplication) {
+  // The fused kernel equals one mul_add_region per source into zeroes. It
+  // never reads dst, so stale bytes must not leak in, and longer sources
+  // contribute only their first dst.size() bytes.
+  for (const std::size_t k :
+       {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     for (const std::size_t len :
          {std::size_t{0}, std::size_t{1}, std::size_t{255}, std::size_t{4096},
           std::size_t{9000}}) {
@@ -192,16 +196,16 @@ TEST(GF256, MulAddRegionMultiMatchesSequentialApplication) {
       std::vector<common::ByteSpan> srcs;
       std::vector<std::uint8_t> coeffs;
       for (std::size_t i = 0; i < k; ++i) {
-        shards.push_back(common::patterned(len, i + 2));
-        coeffs.push_back(static_cast<std::uint8_t>(7 * i + 3));
+        shards.push_back(common::patterned(len + 7, i + 2));
+        coeffs.push_back(static_cast<std::uint8_t>(7 * i + 1));
       }
       for (const auto& s : shards) srcs.emplace_back(s);
-      common::Bytes got = common::patterned(len, 77);
-      common::Bytes want = got;
-      gf().mul_add_region_multi(got, srcs, coeffs.data());
+      common::Bytes want(len, 0);
       for (std::size_t i = 0; i < k; ++i) {
-        gf().mul_add_region(want, srcs[i], coeffs[i]);
+        gf().mul_add_region(want, srcs[i].first(len), coeffs[i]);
       }
+      common::Bytes got(len, 0xA5);
+      gf().mul_region_multi(got, srcs, coeffs.data());
       ASSERT_EQ(got, want) << "k=" << k << " len=" << len;
     }
   }

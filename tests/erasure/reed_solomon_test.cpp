@@ -17,6 +17,22 @@ std::vector<common::Bytes> make_shards(std::size_t k, std::size_t shard_size,
   return shards;
 }
 
+/// Runs reconstruct_into for `wanted` over the shards `present` holds,
+/// writing into buffers pre-filled with 0xA5 so that a result relying on
+/// zeroed output memory shows up as a mismatch.
+common::Status rebuild(const ReedSolomon& rs,
+                       const std::vector<std::optional<common::Bytes>>& present,
+                       const std::vector<std::size_t>& wanted,
+                       std::size_t out_size, std::vector<common::Bytes>& out) {
+  std::vector<std::optional<common::ByteSpan>> views(present.size());
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (present[i].has_value()) views[i] = common::ByteSpan(*present[i]);
+  }
+  out.assign(wanted.size(), common::Bytes(out_size, 0xA5));
+  std::vector<common::MutByteSpan> dst(out.begin(), out.end());
+  return rs.reconstruct_into(views, wanted, dst);
+}
+
 TEST(ReedSolomon, EncodeRejectsWrongShardCount) {
   ReedSolomon rs(3, 1);
   auto shards = make_shards(2, 16, 0);
@@ -51,19 +67,38 @@ TEST(ReedSolomon, VerifyRejectsCorruption) {
   EXPECT_FALSE(rs.verify(all));
 }
 
+TEST(ReedSolomon, EncodeIntoOverwritesNonZeroParity) {
+  // Parity buffers need no zero-fill: stale bytes are overwritten.
+  for (const auto& [k, m] : {std::pair<std::size_t, std::size_t>{2, 1},
+                            {3, 1}, {4, 2}, {8, 4}}) {
+    ReedSolomon rs(k, m);
+    const auto data = make_shards(k, 1000, 40 + k);
+    const auto want = rs.encode(data);
+    ASSERT_TRUE(want.is_ok());
+    std::vector<common::Bytes> parity(m, common::Bytes(1000, 0xA5));
+    parity[0] = common::patterned(1000, 99);
+    const std::vector<common::ByteSpan> views(data.begin(), data.end());
+    const std::vector<common::MutByteSpan> out(parity.begin(), parity.end());
+    ASSERT_TRUE(rs.encode_into(views, out).is_ok());
+    EXPECT_EQ(parity, want.value()) << "k=" << k << " m=" << m;
+  }
+}
+
 TEST(ReedSolomon, ReconstructNeedsAtLeastK) {
   ReedSolomon rs(3, 2);
   std::vector<std::optional<common::Bytes>> shards(5);
   shards[0] = common::patterned(8, 0);
   shards[1] = common::patterned(8, 1);
-  auto st = rs.reconstruct(shards);
-  EXPECT_EQ(st.code(), common::StatusCode::kDataLoss);
+  std::vector<common::Bytes> out;
+  EXPECT_EQ(rebuild(rs, shards, {2}, 8, out).code(),
+            common::StatusCode::kDataLoss);
 }
 
 TEST(ReedSolomon, ReconstructRejectsWrongSlotCount) {
   ReedSolomon rs(3, 2);
   std::vector<std::optional<common::Bytes>> shards(4);
-  EXPECT_EQ(rs.reconstruct(shards).code(),
+  std::vector<common::Bytes> out;
+  EXPECT_EQ(rebuild(rs, shards, {0}, 8, out).code(),
             common::StatusCode::kInvalidArgument);
 }
 
@@ -73,8 +108,35 @@ TEST(ReedSolomon, ReconstructRejectsMixedSizes) {
   shards[0] = common::patterned(8, 0);
   shards[1] = common::patterned(9, 1);
   shards[2] = common::patterned(8, 2);
-  EXPECT_EQ(rs.reconstruct(shards).code(),
+  std::vector<common::Bytes> out;
+  EXPECT_EQ(rebuild(rs, shards, {0}, 8, out).code(),
             common::StatusCode::kInvalidArgument);
+}
+
+TEST(ReedSolomon, ReconstructIntoRejectsOversizedOutputAndBadSlot) {
+  ReedSolomon rs(2, 1);
+  std::vector<std::optional<common::Bytes>> shards(3);
+  shards[1] = common::patterned(8, 1);
+  shards[2] = common::patterned(8, 2);
+  std::vector<common::Bytes> out;
+  EXPECT_EQ(rebuild(rs, shards, {0}, 9, out).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(rebuild(rs, shards, {3}, 8, out).code(),
+            common::StatusCode::kInvalidArgument);
+}
+
+TEST(ReedSolomon, ReconstructIntoComputesOnlyTheOutputPrefix) {
+  // A shorter output gets the prefix of the slot; the survivors' tails
+  // are never needed (a degraded read skips a tail slot's padding).
+  ReedSolomon rs(3, 1);
+  const auto data = make_shards(3, 64, 7);
+  const auto parity = rs.encode(data);
+  ASSERT_TRUE(parity.is_ok());
+  std::vector<std::optional<common::Bytes>> shards = {
+      std::nullopt, data[1], data[2], parity.value()[0]};
+  std::vector<common::Bytes> out;
+  ASSERT_TRUE(rebuild(rs, shards, {0}, 21, out).is_ok());
+  EXPECT_EQ(out[0], common::Bytes(data[0].begin(), data[0].begin() + 21));
 }
 
 TEST(ReedSolomon, ParityDeltaMatchesReencode) {
@@ -150,16 +212,21 @@ TEST_P(ReedSolomonGeometryTest, AnyKOfNReconstructsAllErasurePatterns) {
   std::vector<common::Bytes> all = data;
   for (auto& p : parity.value()) all.push_back(p);
 
-  // Every erasure pattern with at most m missing shards must reconstruct.
+  // Every erasure pattern with at most m missing shards rebuilds every
+  // slot, data and parity, missing or not, byte-equal to encode().
+  std::vector<std::size_t> every(n);
+  for (std::size_t i = 0; i < n; ++i) every[i] = i;
   for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
     if (static_cast<std::size_t>(std::popcount(mask)) > m) continue;
     std::vector<std::optional<common::Bytes>> shards(n);
     for (std::size_t i = 0; i < n; ++i) {
       if (!(mask & (1u << i))) shards[i] = all[i];
     }
-    ASSERT_TRUE(rs.reconstruct(shards).is_ok()) << "mask=" << mask;
+    std::vector<common::Bytes> out;
+    ASSERT_TRUE(rebuild(rs, shards, every, 96, out).is_ok())
+        << "mask=" << mask;
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(*shards[i], all[i]) << "mask=" << mask << " shard=" << i;
+      EXPECT_EQ(out[i], all[i]) << "mask=" << mask << " shard=" << i;
     }
   }
 }
@@ -189,18 +256,21 @@ TEST(ReedSolomon, RandomizedRoundTrips) {
     std::vector<common::Bytes> all = data;
     for (auto& p : parity.value()) all.push_back(p);
 
-    // Erase a random subset of size <= m.
+    // Erase a random subset of size <= m and rebuild exactly that subset.
     std::vector<std::optional<common::Bytes>> shards(k + m);
-    std::size_t erased = 0;
+    std::vector<std::size_t> erased;
     for (std::size_t i = 0; i < k + m; ++i) {
-      if (erased < m && rng.chance(0.3)) {
-        ++erased;
+      if (erased.size() < m && rng.chance(0.3)) {
+        erased.push_back(i);
         continue;
       }
       shards[i] = all[i];
     }
-    ASSERT_TRUE(rs.reconstruct(shards).is_ok());
-    for (std::size_t i = 0; i < k + m; ++i) EXPECT_EQ(*shards[i], all[i]);
+    std::vector<common::Bytes> out;
+    ASSERT_TRUE(rebuild(rs, shards, erased, shard_size, out).is_ok());
+    for (std::size_t j = 0; j < erased.size(); ++j) {
+      EXPECT_EQ(out[j], all[erased[j]]);
+    }
   }
 }
 
