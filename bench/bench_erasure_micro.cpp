@@ -7,6 +7,7 @@
 // google-benchmark flags.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -15,6 +16,7 @@
 #include "common/bytes.h"
 #include "common/checksum.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "erasure/fmsr.h"
 #include "erasure/gf256.h"
 #include "erasure/reed_solomon.h"
@@ -107,19 +109,26 @@ BENCHMARK(BM_RsEncode)
     ->Args({8, 4, 1 << 20});
 
 // Encode into parity buffers reused across iterations: the GF work alone,
-// without the per-call allocation and zero-fill BM_RsEncode pays.
+// without the per-call allocation and zero-fill BM_RsEncode pays. As in the
+// stripe encoder, the parity slots are planned over the data slots once
+// and the plan is applied per buffer.
 void BM_RsEncodeInto(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
   const std::size_t shard_size = static_cast<std::size_t>(state.range(2));
   erasure::ReedSolomon rs(k, m);
   const auto shards = make_shards(k, shard_size);
-  const std::vector<common::ByteSpan> data(shards.begin(), shards.end());
+  std::vector<std::optional<common::ByteSpan>> views(k + m);
+  std::vector<std::size_t> parity_slots;
+  for (std::size_t i = 0; i < k; ++i) views[i] = common::ByteSpan(shards[i]);
+  for (std::size_t p = 0; p < m; ++p) parity_slots.push_back(k + p);
+  const auto plan = rs.plan(views, parity_slots);
   std::vector<common::Bytes> parity(m, common::Bytes(shard_size));
-  const std::vector<common::MutByteSpan> out(parity.begin(), parity.end());
   for (auto _ : state) {
-    auto st = rs.encode_into(data, out);
-    benchmark::DoNotOptimize(st);
+    for (std::size_t p = 0; p < m; ++p) {
+      auto st = plan.value().apply(p, 0, parity[p]);
+      benchmark::DoNotOptimize(st);
+    }
     benchmark::DoNotOptimize(parity[0].data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -170,19 +179,27 @@ void BM_RsReconstructWorstCase(benchmark::State& state) {
 }
 BENCHMARK(BM_RsReconstructWorstCase)->Args({3, 1})->Args({4, 2})->Args({8, 4});
 
-// The same reconstruction into outputs reused across iterations: the
-// decode kernel alone.
+// The same reconstruction into outputs reused across iterations, run the
+// way the striper runs it: one plan per stripe (the survivor rows and
+// G[wanted] * inv(G[rows]), timed here), applied column by column.
 void BM_RsReconstructInto(benchmark::State& state) {
   const std::size_t k = static_cast<std::size_t>(state.range(0));
   const std::size_t m = static_cast<std::size_t>(state.range(1));
   const std::size_t shard_size = static_cast<std::size_t>(state.range(2));
+  constexpr std::size_t kColumn = erasure::Striper::kColumn;
   erasure::ReedSolomon rs(k, m);
   const WorstCase wc(rs, shard_size);
   std::vector<common::Bytes> out(m, common::Bytes(shard_size));
-  const std::vector<common::MutByteSpan> dst(out.begin(), out.end());
   for (auto _ : state) {
-    auto st = rs.reconstruct_into(wc.views, wc.wanted, dst);
-    benchmark::DoNotOptimize(st);
+    auto plan = rs.plan(wc.views, wc.wanted);
+    for (std::size_t off = 0; off < shard_size; off += kColumn) {
+      const std::size_t len = std::min(kColumn, shard_size - off);
+      for (std::size_t j = 0; j < m; ++j) {
+        auto st = plan.value().apply(
+            j, off, common::MutByteSpan(out[j].data() + off, len));
+        benchmark::DoNotOptimize(st);
+      }
+    }
     benchmark::DoNotOptimize(out[0].data());
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -194,18 +211,29 @@ BENCHMARK(BM_RsReconstructInto)
     ->Args({4, 2, 256 << 10})
     ->Args({8, 4, 256 << 10});
 
+// The stripe encoder over an owned object (full data shards are slices of
+// it), without a pool (threads = 0) and column-parallel on a 3-thread pool
+// plus the calling thread. Timed in wall time: the pool's helpers do work
+// the calling thread's CPU time would not show.
 void BM_StriperEncode(benchmark::State& state) {
   erasure::Striper striper({.k = 3, .m = 1});
-  const auto object =
-      common::patterned(static_cast<std::size_t>(state.range(0)), 7);
+  const auto object = common::Buffer::from(
+      common::patterned(static_cast<std::size_t>(state.range(0)), 7));
+  std::optional<common::ThreadPool> pool;
+  if (state.range(1) > 0) {
+    pool.emplace(static_cast<std::size_t>(state.range(1)));
+  }
   for (auto _ : state) {
-    auto set = striper.encode(object);
+    auto set = striper.encode(object, pool.has_value() ? &*pool : nullptr);
     benchmark::DoNotOptimize(set);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_StriperEncode)->Range(64 << 10, 16 << 20);
+BENCHMARK(BM_StriperEncode)
+    ->ArgNames({"bytes", "threads"})
+    ->ArgsProduct({benchmark::CreateRange(64 << 10, 16 << 20, 8), {0, 3}})
+    ->UseRealTime();
 
 void BM_FmsrEncode(benchmark::State& state) {
   erasure::Fmsr code(4, 2);

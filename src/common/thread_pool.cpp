@@ -1,8 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
 namespace hyrd::common {
 
@@ -23,54 +21,55 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::for_each(std::size_t n,
-                          const std::function<void(std::size_t)>& fn) {
-  if (n <= 1) {
-    if (n == 1) fn(0);
-    return;
+void ThreadPool::run(Job& job) {
+  const std::size_t helpers =
+      job.n > 1 ? std::min(job.n - 1, workers_.size()) : 0;
+  if (helpers > 0) {
+    std::lock_guard lock(mu_);
+    job.open = helpers;
+    Job** tail = &queue_;
+    while (*tail != nullptr) tail = &(*tail)->queued_after;
+    *tail = &job;
   }
-  // Shared so a helper dequeued after the caller returned still finds live
-  // counters (it claims nothing and never touches fn).
-  struct State {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> done{0};
-    std::size_t n = 0;
-    const std::function<void(std::size_t)>* fn = nullptr;
-    std::mutex mu;
-    std::condition_variable cv;
-  };
-  auto state = std::make_shared<State>();
-  state->n = n;
-  state->fn = &fn;
-  const auto drain = [](State& s) {
-    for (std::size_t i; (i = s.next.fetch_add(1)) < s.n;) {
-      (*s.fn)(i);
-      if (s.done.fetch_add(1) + 1 == s.n) {
-        std::lock_guard lock(s.mu);
-        s.cv.notify_all();
-      }
+  for (std::size_t h = 0; h < helpers; ++h) cv_.notify_one();
+  drain(job);
+
+  std::unique_lock lock(mu_);
+  if (job.open > 0) {  // withdraw the slots no helper claimed
+    Job** link = &queue_;
+    while (*link != &job) link = &(*link)->queued_after;
+    *link = job.queued_after;
+  }
+  job.idle.wait(lock, [&] { return job.active == 0; });
+  if (job.error) std::rethrow_exception(job.error);
+}
+
+void ThreadPool::drain(Job& job) {
+  for (std::size_t i; (i = job.next.fetch_add(1)) < job.n;) {
+    try {
+      job.call(job.fn, i);
+    } catch (...) {
+      std::lock_guard lock(mu_);
+      if (!job.error) job.error = std::current_exception();
+      job.next.store(job.n);  // claim nothing more
     }
-  };
-  const std::size_t helpers = std::min(n - 1, workers_.size());
-  for (std::size_t h = 0; h < helpers; ++h) {
-    (void)submit([state, drain] { drain(*state); });
   }
-  drain(*state);
-  std::unique_lock lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done.load() == n; });
 }
 
 void ThreadPool::worker_loop() {
+  std::unique_lock lock(mu_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock lock(mu_);
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
+    cv_.wait(lock, [this] { return stop_ || queue_ != nullptr; });
+    if (queue_ == nullptr) return;
+    Job& job = *queue_;
+    if (--job.open == 0) queue_ = job.queued_after;
+    ++job.active;
+    lock.unlock();
+    drain(job);
+    lock.lock();
+    // Notified under the lock: the caller may return, and its job leave
+    // the stack, as soon as it sees active reach 0.
+    if (--job.active == 0) job.idle.notify_one();
   }
 }
 

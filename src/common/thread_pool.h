@@ -1,17 +1,22 @@
 // Fixed-size thread pool for client-side CPU work. Provider requests never
 // run here: their latencies are virtual and gcsapi::AsyncBatch issues them
 // on the calling thread. What does run here is the per-column compute of
-// large stripes: a write's parity encode and CRCs, a read's fragment
-// checks, gather and reconstruction.
+// large stripes (erasure::Striper): a write's parity encode and CRCs, a
+// read's fragment checks, gather and reconstruction, a rebuild.
+//
+// The pool's one entry point is for_each. Its job lives on the caller's
+// stack: helpers claim it under the pool mutex, the caller withdraws the
+// helper slots nobody claimed and waits only for the helpers that did, so
+// a call allocates nothing.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <functional>
-#include <future>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace hyrd::common {
@@ -26,31 +31,44 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Schedules `fn`; the returned future completes with its result.
+  /// Runs fn(i) for every i in [0, n) on the workers and the calling
+  /// thread together; returns once every call has returned. If a call
+  /// throws, no index is claimed after it, and the first exception is
+  /// rethrown on the caller once every helper has left `fn`. Several
+  /// threads may call at once. Must not be called from inside `fn`.
   template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    auto fut = task->get_future();
-    {
-      std::lock_guard lock(mu_);
-      queue_.emplace_back([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
+  void for_each(std::size_t n, F&& fn) {
+    using Fn = std::remove_reference_t<F>;
+    Job job;
+    job.n = n;
+    job.fn = &fn;
+    job.call = [](const void* f, std::size_t i) {
+      (*static_cast<Fn*>(const_cast<void*>(f)))(i);
+    };
+    run(job);
   }
 
-  /// Runs fn(i) for every i in [0, n) on the workers and the calling
-  /// thread together; returns once every call has returned. Helpers that
-  /// start after the work is gone exit at once, so the caller never waits
-  /// on a queued task. Must not be called from a pool task.
-  void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
-
  private:
+  /// One for_each call, on its caller's stack. Every field but the index
+  /// counter is guarded by mu_.
+  struct Job {
+    std::size_t n = 0;
+    const void* fn = nullptr;
+    void (*call)(const void*, std::size_t) = nullptr;
+    std::atomic<std::size_t> next{0};  // next index to claim
+    std::size_t open = 0;              // helper slots not yet claimed
+    std::size_t active = 0;            // helpers inside drain()
+    Job* queued_after = nullptr;       // the pool's FIFO of open jobs
+    std::exception_ptr error;          // the first call that threw
+    std::condition_variable idle;      // active reached 0
+  };
+
+  void run(Job& job);
+  void drain(Job& job);
   void worker_loop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  Job* queue_ = nullptr;  // jobs with open helper slots, oldest first
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
@@ -58,8 +76,8 @@ class ThreadPool {
 
 /// ThreadPool::for_each on `pool`, or a plain loop on the calling thread
 /// when there is none.
-inline void for_each(ThreadPool* pool, std::size_t n,
-                     const std::function<void(std::size_t)>& fn) {
+template <typename F>
+void for_each(ThreadPool* pool, std::size_t n, F&& fn) {
   if (pool != nullptr) {
     pool->for_each(n, fn);
   } else {

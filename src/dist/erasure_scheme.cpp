@@ -4,10 +4,8 @@
 #include <cassert>
 #include <cstring>
 
-#include "common/checksum.h"
 #include "common/copy_meter.h"
 #include "common/virtual_time.h"
-#include "erasure/reed_solomon.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -62,80 +60,11 @@ std::vector<std::size_t> slot_clients(const gcs::MultiCloudSession& session,
 /// Striper::assemble; unset where none was computed.
 using DataCrcs = std::vector<std::optional<std::uint32_t>>;
 
-constexpr std::size_t kColumn = erasure::Striper::kColumn;
-
-/// Checks fetched fragments (`frags[j]` holds slot `slots[j]`) against the
-/// digests in `meta`; a fragment without a recorded digest passes. One pass
-/// per byte: a data fragment's object bytes are hashed, that CRC is
-/// continued over the zero padding so the pad is verified too, and the
-/// object-byte CRC is left in `data_crcs`. The bytes are hashed in kColumn
-/// pieces (on `pool` and the caller when one is given and there is more
-/// than a column of them) whose CRCs fold with crc32c_combine. Returns one
-/// verdict per fragment.
-std::vector<bool> check_fragments(const meta::FileMeta& meta,
-                                  std::span<const std::size_t> slots,
-                                  std::span<const common::ByteSpan> frags,
-                                  common::ThreadPool* pool,
-                                  DataCrcs& data_crcs) {
-  struct Piece {
-    std::size_t frag = 0;
-    std::size_t off = 0, len = 0;
-    std::uint32_t crc = 0;
-  };
-  const auto digest = [&](std::size_t j) -> std::uint32_t {
-    return slots[j] < meta.fragment_crcs.size() ? meta.fragment_crcs[slots[j]]
-                                                : 0;  // 0: digest unknown
-  };
-  std::vector<std::size_t> object_bytes(frags.size());
-  std::vector<Piece> pieces;
-  std::size_t bytes = 0;
-  for (std::size_t j = 0; j < frags.size(); ++j) {
-    if (digest(j) == 0) continue;
-    const std::size_t size = frags[j].size();
-    bytes += size;
-    const std::size_t n =
-        slots[j] < meta.stripe_k
-            ? erasure::Striper::data_bytes(meta.size, size, slots[j])
-            : size;
-    object_bytes[j] = n;
-    // Cut at kColumn steps and where the padding begins.
-    for (std::size_t off = 0; off < n; off += kColumn) {
-      pieces.push_back({j, off, std::min(kColumn, n - off)});
-    }
-    for (std::size_t off = n; off < size; off += kColumn) {
-      pieces.push_back({j, off, std::min(kColumn, size - off)});
-    }
-  }
-  const auto hash = [&](std::size_t i) {
-    Piece& p = pieces[i];
-    p.crc = common::crc32c(frags[p.frag].subspan(p.off, p.len));
-  };
-  // Fragments that fit one column together are hashed inline: handing
-  // them to the pool costs more than it saves.
-  common::for_each(bytes > kColumn ? pool : nullptr, pieces.size(), hash);
-
-  // Pieces are in fragment, then offset order: fold each fragment's CRC,
-  // noting it where the object bytes end and the padding begins.
-  std::vector<std::uint32_t> object_crc(frags.size()), whole(frags.size());
-  for (const Piece& p : pieces) {
-    if (p.off == object_bytes[p.frag]) object_crc[p.frag] = whole[p.frag];
-    whole[p.frag] = common::crc32c_combine(whole[p.frag], p.crc, p.len);
-  }
-  std::vector<bool> intact(frags.size());
-  for (std::size_t j = 0; j < frags.size(); ++j) {
-    if (object_bytes[j] == frags[j].size()) object_crc[j] = whole[j];
-    intact[j] = digest(j) == 0 || whole[j] == digest(j);
-    if (digest(j) != 0 && intact[j] && slots[j] < meta.stripe_k) {
-      data_crcs[slots[j]] = object_crc[j];
-    }
-  }
-  return intact;
-}
-
-/// check_fragments over the successful gets in `gets` whose op_index is
+/// Striper::check over the successful gets in `gets` whose op_index is
 /// at least `from` (`op_slot` maps op_index to slot); one verdict per
 /// completion, false for failed or skipped ones.
-std::vector<bool> check_gets(const meta::FileMeta& meta,
+std::vector<bool> check_gets(const erasure::Striper& striper,
+                             const meta::FileMeta& meta,
                              const std::vector<gcs::CloudCompletion>& gets,
                              const std::vector<std::size_t>& op_slot,
                              std::size_t from, common::ThreadPool& pool,
@@ -148,7 +77,8 @@ std::vector<bool> check_gets(const meta::FileMeta& meta,
     slots.push_back(op_slot[gets[i].op_index]);
     frags.push_back(gets[i].result.data);
   }
-  const auto verdicts = check_fragments(meta, slots, frags, &pool, data_crcs);
+  const auto verdicts = striper.check(meta.size, meta.fragment_crcs, slots,
+                                      frags, data_crcs, &pool);
   std::vector<bool> out(gets.size());
   for (std::size_t j = 0; j < at.size(); ++j) out[at[j]] = verdicts[j];
   return out;
@@ -159,19 +89,20 @@ std::vector<bool> check_gets(const meta::FileMeta& meta,
 /// await_first tests every op when it ranks arrivals and the caller tests
 /// again when collecting, so each op's verdict is recorded in `verdicts`
 /// (-1 = not yet checked) and every fragment is CRC'd once.
-auto usable_fragment(const meta::FileMeta& meta,
+auto usable_fragment(const erasure::Striper& striper,
+                     const meta::FileMeta& meta,
                      const std::vector<std::size_t>& op_slot,
                      std::vector<std::int8_t>& verdicts, DataCrcs& data_crcs) {
   verdicts.assign(op_slot.size(), -1);
-  return [&meta, &op_slot, &verdicts,
+  return [&striper, &meta, &op_slot, &verdicts,
           &data_crcs](const gcs::CloudCompletion& c) {
     if (!c.ok()) return false;
     std::int8_t& v = verdicts[c.op_index];
     if (v < 0) {
       const std::size_t slot = op_slot[c.op_index];
       const common::ByteSpan frag = c.result.data;
-      v = check_fragments(meta, {&slot, 1}, {&frag, 1}, nullptr,
-                          data_crcs)[0];
+      v = striper.check(meta.size, meta.fragment_crcs, {&slot, 1}, {&frag, 1},
+                        data_crcs)[0];
     }
     return v == 1;
   };
@@ -219,95 +150,7 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   }
 
   const std::size_t total = geom.total();
-  const std::size_t shard_size = striper_.shard_size_for(data.size());
-
-  // Fragment plan: every full data shard is an O(1) slice of `data` (the
-  // store keeps it by refbump — no memcpy anywhere on its way down); only
-  // a shard that crosses or sits past EOF needs padding. The padded tail
-  // and the m parity shards live in one side arena, sliced per fragment.
-  std::vector<common::Buffer> fragments(total);
-  std::vector<common::ByteSpan> data_views(geom.k);
-  std::vector<std::size_t> real(geom.k);  // object bytes per data slot
-  std::vector<std::size_t> pad_slots;
-  for (std::size_t i = 0; i < geom.k; ++i) {
-    real[i] = erasure::Striper::data_bytes(data.size(), shard_size, i);
-    if (real[i] == shard_size) {
-      fragments[i] = data.slice(i * shard_size, shard_size);
-      data_views[i] = fragments[i];
-    } else {
-      pad_slots.push_back(i);
-    }
-  }
-
-  // Write-once side arena: [padded data slots | m parity shards]. Every
-  // byte is written exactly once below — a padded slot's object bytes
-  // copied in, its padding zeroed, parity overwritten by the encode — and
-  // only then is the arena frozen and sliced.
-  auto arena = common::MutableBuffer::for_overwrite(
-      (pad_slots.size() + geom.m) * shard_size);
-  for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-    data_views[pad_slots[j]] = arena.span(j * shard_size, shard_size);
-  }
-  std::vector<common::MutByteSpan> parity_views(geom.m);
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    parity_views[p] =
-        arena.span((pad_slots.size() + p) * shard_size, shard_size);
-  }
-
-  // Column pass on the session pool and this thread: each task owns one
-  // kColumn-byte column of every shard. It fills the padded slots' column,
-  // encodes the column's parity, then hashes the column's data and parity
-  // bytes while they are still in cache, so each byte is loaded from
-  // memory once. The column CRCs are folded per slot with crc32c_combine.
-  const erasure::ReedSolomon& rs = striper_.codec();
-  const std::size_t columns = (shard_size + kColumn - 1) / kColumn;
-  // Bytes of `slot` inside column `c` that its CRC covers: all of a parity
-  // column, only the object bytes of a data column.
-  const auto column_bytes = [&](std::size_t c, std::size_t slot) {
-    const std::size_t off = c * kColumn;
-    const std::size_t len = std::min(kColumn, shard_size - off);
-    if (slot >= geom.k) return len;
-    return real[slot] > off ? std::min(len, real[slot] - off) : std::size_t{0};
-  };
-  std::vector<std::uint32_t> column_crcs(columns * total);  // [column][slot]
-  session.pool().for_each(columns, [&](std::size_t c) {
-    const std::size_t off = c * kColumn;
-    const std::size_t len = std::min(kColumn, shard_size - off);
-    for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-      const std::size_t slot = pad_slots[j];
-      const std::size_t n = column_bytes(c, slot);
-      arena.write(j * shard_size + off,
-                  data.span().subspan(std::min(slot * shard_size + off,
-                                               data.size()),
-                                      n));
-      std::memset(arena.data() + j * shard_size + off + n, 0, len - n);
-    }
-    std::vector<common::ByteSpan> d(geom.k);
-    for (std::size_t i = 0; i < geom.k; ++i) {
-      d[i] = data_views[i].subspan(off, len);
-    }
-    std::vector<common::MutByteSpan> pv(geom.m);
-    for (std::size_t p = 0; p < geom.m; ++p) {
-      pv[p] = parity_views[p].subspan(off, len);
-    }
-    (void)rs.encode_into(d, pv);
-    std::uint32_t* crcs = column_crcs.data() + c * total;
-    for (std::size_t i = 0; i < geom.k; ++i) {
-      crcs[i] = common::crc32c(d[i].first(column_bytes(c, i)));
-    }
-    for (std::size_t p = 0; p < geom.m; ++p) {
-      crcs[geom.k + p] = common::crc32c(pv[p]);
-    }
-  });
-
-  common::Buffer side = std::move(arena).freeze();
-  for (std::size_t j = 0; j < pad_slots.size(); ++j) {
-    fragments[pad_slots[j]] = side.slice(j * shard_size, shard_size);
-  }
-  for (std::size_t p = 0; p < geom.m; ++p) {
-    fragments[geom.k + p] =
-        side.slice((pad_slots.size() + p) * shard_size, shard_size);
-  }
+  erasure::StripeSet set = striper_.encode(std::move(data), &session.pool());
 
   // One batch for the whole stripe, one concurrent round in virtual time.
   gcs::AsyncBatch batch(session);
@@ -315,7 +158,7 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   keys.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     keys.push_back({container_, fragment_object_name(path, 's', i)});
-    batch.submit(gcs::CloudOp::put(shard_clients[i], keys[i], fragments[i]));
+    batch.submit(gcs::CloudOp::put(shard_clients[i], keys[i], set.shards[i]));
   }
 
   gcs::BatchStats stats;
@@ -325,27 +168,13 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
   std::size_t landed = 0;
   meta::FileMeta m;
   m.path = path;
-  m.size = data.size();
+  m.size = set.object_size;
   m.redundancy = meta::RedundancyKind::kErasure;
   m.stripe_k = static_cast<std::uint32_t>(geom.k);
   m.stripe_m = static_cast<std::uint32_t>(geom.m);
-  m.shard_size = shard_size;
-  // A slot's CRC folds its column CRCs; a data slot's covers its object
-  // bytes, feeds the object CRC and is then extended over the zero padding.
-  m.fragment_crcs.reserve(total);
-  for (std::size_t i = 0; i < total; ++i) {
-    std::uint32_t crc = 0;
-    for (std::size_t c = 0; c < columns; ++c) {
-      if (const std::size_t n = column_bytes(c, i); n > 0) {
-        crc = common::crc32c_combine(crc, column_crcs[c * total + i], n);
-      }
-    }
-    if (i < geom.k) {
-      m.crc = common::crc32c_combine(m.crc, crc, real[i]);
-      crc = common::crc32c_zero_extend(crc, shard_size - real[i]);
-    }
-    m.fragment_crcs.push_back(crc);
-  }
+  m.shard_size = set.shard_size;
+  m.crc = set.object_crc;
+  m.fragment_crcs = std::move(set.shard_crcs);
   for (std::size_t i = 0; i < total; ++i) {
     const cloud::OpResult& put_result = put_completions[i].result;
     const std::string& provider =
@@ -363,10 +192,10 @@ WriteResult ErasureScheme::write(gcs::MultiCloudSession& session,
         common::unavailable("fewer than k fragments written; stripe lost");
     return result;
   }
-  stripe_metrics().encode_bytes.add(
-      static_cast<std::uint64_t>(geom.m) * shard_size);
-  stripe_metrics().crc_bytes.add(data.size() +
-                                 static_cast<std::uint64_t>(geom.m) * shard_size);
+  const std::uint64_t parity_bytes =
+      static_cast<std::uint64_t>(geom.m) * set.shard_size;
+  stripe_metrics().encode_bytes.add(parity_bytes);
+  stripe_metrics().crc_bytes.add(set.object_size + parity_bytes);
   result.status = common::Status::ok();
   result.meta = std::move(m);
   emit_stripe_span("stripe_write", result.latency,
@@ -420,7 +249,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       submit_slot(i, 0);
     }
     std::vector<std::int8_t> verdicts;
-    const auto usable = usable_fragment(meta, op_slot, verdicts, data_crcs);
+    const auto usable =
+        usable_fragment(striper_, meta, op_slot, verdicts, data_crcs);
     gcs::BatchStats stats;
     auto completions = batch.await_first(geom.k, &stats, usable);
     result.latency += stats.latency;
@@ -452,7 +282,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
 
     bool all_fetched_ok = !phase1.empty();
     const auto intact1 =
-        check_gets(meta, phase1, op_slot, 0, session.pool(), data_crcs);
+        check_gets(striper_, meta, phase1, op_slot, 0, session.pool(),
+                   data_crcs);
     for (std::size_t i = 0; i < phase1.size(); ++i) {
       auto& c = phase1[i];
       if (intact1[i]) {
@@ -507,8 +338,8 @@ ReadResult ErasureScheme::read(gcs::MultiCloudSession& session,
       auto all_ops = batch.await_all(&stats);
       result.latency = stats.latency;
       // Phase-1 completions were consumed above; check only the new ones.
-      const auto intact2 = check_gets(meta, all_ops, op_slot, phase1_ops,
-                                      session.pool(), data_crcs);
+      const auto intact2 = check_gets(striper_, meta, all_ops, op_slot,
+                                      phase1_ops, session.pool(), data_crcs);
       for (std::size_t i = 0; i < all_ops.size(); ++i) {
         if (intact2[i]) {
           shards[op_slot[all_ops[i].op_index]] =
@@ -678,7 +509,8 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   // rebuild is charged at the k-th usable arrival.
   std::vector<std::int8_t> verdicts;
   DataCrcs data_crcs(geom.k);  // unused: rebuilt fragments are not reassembled
-  const auto usable = usable_fragment(meta, batch_slots, verdicts, data_crcs);
+  const auto usable =
+      usable_fragment(striper_, meta, batch_slots, verdicts, data_crcs);
   gcs::BatchStats stats;
   const bool fastest = read_strategy_ == ErasureReadStrategy::kFastestK;
   auto gets = fastest ? batch.await_first(geom.k, &stats, usable)
@@ -687,7 +519,8 @@ ErasureScheme::rebuild_fragments_for(gcs::MultiCloudSession& session,
   // Corrupt survivors must not poison the rebuilt fragments.
   std::vector<bool> intact =
       fastest ? std::vector<bool>(gets.size())
-              : check_gets(meta, gets, batch_slots, 0, session.pool(), data_crcs);
+              : check_gets(striper_, meta, gets, batch_slots, 0, session.pool(),
+                           data_crcs);
   for (std::size_t i = 0; i < gets.size(); ++i) {
     if (fastest) intact[i] = usable(gets[i]);
     if (intact[i]) {

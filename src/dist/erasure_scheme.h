@@ -51,9 +51,9 @@ class ErasureScheme {
   /// Succeeds if at least k fragments land (the stripe is then decodable);
   /// unreachable providers are reported for update logging.
   ///
-  /// Zero-copy: full data shards are O(1) slices of `data`; only the
-  /// padded tail shard and the parity shards live in a single side arena
-  /// sliced per fragment.
+  /// The fragments and their CRCs come from Striper::encode on the session
+  /// pool; full data fragments are O(1) slices of `data`, the rest slices
+  /// of one side arena.
   WriteResult write(gcs::MultiCloudSession& session, const std::string& path,
                     common::Buffer data,
                     const std::vector<std::size_t>& shard_clients,

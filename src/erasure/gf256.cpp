@@ -297,7 +297,8 @@ void GF256::mul_region(common::MutByteSpan dst, common::ByteSpan src,
 
 void GF256::mul_region_multi(common::MutByteSpan dst,
                              std::span<const common::ByteSpan> srcs,
-                             const std::uint8_t* coeffs) const {
+                             const std::uint8_t* coeffs,
+                             std::size_t src_offset) const {
   // Chunk so the dst slice stays hot in L1 while every source is folded
   // in — one pass over dst per chunk instead of one per source.
   constexpr std::size_t kChunk = 8 * 1024;
@@ -309,11 +310,11 @@ void GF256::mul_region_multi(common::MutByteSpan dst,
   for (std::size_t off = 0; off < n; off += kChunk) {
     const std::size_t len = std::min(kChunk, n - off);
     auto d = dst.subspan(off, len);
-    assert(srcs[0].size() >= n);
-    mul_region(d, srcs[0].subspan(off, len), coeffs[0]);
+    assert(srcs[0].size() >= src_offset + n);
+    mul_region(d, srcs[0].subspan(src_offset + off, len), coeffs[0]);
     for (std::size_t j = 1; j < srcs.size(); ++j) {
-      assert(srcs[j].size() >= n);
-      mul_add_region(d, srcs[j].subspan(off, len), coeffs[j]);
+      assert(srcs[j].size() >= src_offset + n);
+      mul_add_region(d, srcs[j].subspan(src_offset + off, len), coeffs[j]);
     }
   }
 }

@@ -53,15 +53,18 @@ class GF256 {
   void mul_region(common::MutByteSpan dst, common::ByteSpan src,
                   std::uint8_t c) const;
 
-  /// Fused multi-source kernel: dst[i] = XOR_j coeffs[j] * srcs[j][i].
+  /// Fused multi-source kernel:
+  /// dst[i] = XOR_j coeffs[j] * srcs[j][src_offset + i].
   /// Processes the region in L1-sized chunks so dst is written once per
   /// chunk instead of once per source — a whole parity (or reconstructed)
   /// row in a single pass over memory. dst's prior contents are never
   /// read, so it may be uninitialised memory. Sources may be longer than
-  /// dst; only their first dst.size() bytes are used.
+  /// src_offset + dst.size(); only that window of them is used, so one
+  /// column of whole shards is coded without slicing each source.
   void mul_region_multi(common::MutByteSpan dst,
                         std::span<const common::ByteSpan> srcs,
-                        const std::uint8_t* coeffs) const;
+                        const std::uint8_t* coeffs,
+                        std::size_t src_offset = 0) const;
 
   // Scalar reference kernels: the seed's per-byte product-table algorithm,
   // retained so property tests can check the wide kernels byte for byte.

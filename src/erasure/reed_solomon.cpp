@@ -1,6 +1,7 @@
 #include "erasure/reed_solomon.h"
 
 #include <cassert>
+#include <numeric>
 
 #include "erasure/gf256.h"
 
@@ -16,35 +17,72 @@ common::Result<std::vector<common::Bytes>> ReedSolomon::encode(
   if (data.size() != k_) {
     return common::invalid_argument("encode expects exactly k data shards");
   }
-  const std::size_t shard_size = data[0].size();
-  std::vector<common::ByteSpan> views(data.begin(), data.end());
-  std::vector<common::Bytes> parity(m_, common::Bytes(shard_size));
-  std::vector<common::MutByteSpan> parity_views(parity.begin(), parity.end());
-  if (auto st = encode_into(views, parity_views); !st.is_ok()) return st;
+  std::vector<std::optional<common::ByteSpan>> shards(k_ + m_);
+  std::vector<std::size_t> parity_slots(m_);
+  for (std::size_t i = 0; i < k_; ++i) shards[i] = common::ByteSpan(data[i]);
+  std::iota(parity_slots.begin(), parity_slots.end(), k_);
+  auto plan = this->plan(shards, parity_slots);
+  if (!plan.is_ok()) return plan.status();
+  std::vector<common::Bytes> parity(m_,
+                                    common::Bytes(plan.value().shard_size()));
+  for (std::size_t p = 0; p < m_; ++p) {
+    if (auto st = plan.value().apply(p, 0, parity[p]); !st.is_ok()) return st;
+  }
   return parity;
 }
 
-common::Status ReedSolomon::encode_into(
-    std::span<const common::ByteSpan> data,
-    std::span<const common::MutByteSpan> parity) const {
-  if (data.size() != k_ || parity.size() != m_) {
-    return common::invalid_argument("encode expects k data + m parity shards");
+common::Result<DecodePlan> ReedSolomon::plan(
+    std::span<const std::optional<common::ByteSpan>> shards,
+    std::span<const std::size_t> wanted) const {
+  if (shards.size() != k_ + m_) {
+    return common::invalid_argument("reconstruct expects k+m shard slots");
   }
-  const std::size_t shard_size = data[0].size();
-  for (const auto& d : data) {
-    if (d.size() != shard_size) {
-      return common::invalid_argument("data shards must be equally sized");
+  DecodePlan plan;
+  std::vector<std::size_t> rows;  // the first k present slots
+  rows.reserve(k_);
+  plan.srcs_.reserve(k_);
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (!shards[i].has_value()) continue;
+    if (rows.empty()) plan.shard_size_ = shards[i]->size();
+    if (shards[i]->size() != plan.shard_size_) {
+      return common::invalid_argument("present shards differ in size");
+    }
+    if (rows.size() < k_) {
+      rows.push_back(i);
+      plan.srcs_.push_back(*shards[i]);
     }
   }
-  for (const auto& p : parity) {
-    if (p.size() != shard_size) {
-      return common::invalid_argument("parity shards must match data size");
+  if (rows.size() < k_) {
+    return common::data_loss("fewer than k shards present");
+  }
+  for (const std::size_t w : wanted) {
+    if (w >= k_ + m_) return common::invalid_argument("bad wanted slot");
+  }
+
+  // coeffs = G[wanted] * inv(G[rows]): row j expresses slot wanted[j] over
+  // the k survivors. When the survivors are the k data slots, inv is the
+  // identity and the rows are the generator's own.
+  plan.coeffs_ = generator_.select_rows(
+      std::vector<std::size_t>(wanted.begin(), wanted.end()));
+  bool rows_are_data = true;
+  for (std::size_t s = 0; s < k_; ++s) rows_are_data &= rows[s] == s;
+  if (!rows_are_data && !wanted.empty()) {
+    auto inv = generator_.select_rows(rows).inverted();
+    if (!inv.is_ok()) {
+      return common::internal_error("generator submatrix not invertible");
     }
+    plan.coeffs_ = plan.coeffs_.mul(inv.value());
   }
-  const auto& gf = GF256::instance();
-  for (std::size_t p = 0; p < m_; ++p) {
-    gf.mul_region_multi(parity[p], data, generator_.row(k_ + p));
+  return plan;
+}
+
+common::Status DecodePlan::apply(std::size_t j, std::size_t offset,
+                                 common::MutByteSpan out) const {
+  if (j >= coeffs_.rows() || offset > shard_size_ ||
+      out.size() > shard_size_ - offset) {
+    return common::invalid_argument("bad wanted slot or output size");
   }
+  GF256::instance().mul_region_multi(out, srcs_, coeffs_.row(j), offset);
   return common::Status::ok();
 }
 
@@ -52,54 +90,13 @@ common::Status ReedSolomon::reconstruct_into(
     std::span<const std::optional<common::ByteSpan>> shards,
     std::span<const std::size_t> wanted,
     std::span<const common::MutByteSpan> out) const {
-  if (shards.size() != k_ + m_) {
-    return common::invalid_argument("reconstruct expects k+m shard slots");
-  }
   if (wanted.size() != out.size()) {
     return common::invalid_argument("one output per wanted slot");
   }
-  std::vector<std::size_t> rows;  // the first k present slots
-  rows.reserve(k_);
-  std::size_t shard_size = 0;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (!shards[i].has_value()) continue;
-    if (rows.empty()) shard_size = shards[i]->size();
-    if (shards[i]->size() != shard_size) {
-      return common::invalid_argument("present shards differ in size");
-    }
-    if (rows.size() < k_) rows.push_back(i);
-  }
-  if (rows.size() < k_) {
-    return common::data_loss("fewer than k shards present");
-  }
-  for (std::size_t j = 0; j < wanted.size(); ++j) {
-    if (wanted[j] >= k_ + m_ || out[j].size() > shard_size) {
-      return common::invalid_argument("bad wanted slot or output size");
-    }
-  }
-  if (wanted.empty()) return common::Status::ok();
-
-  // coeffs = G[wanted] * inv(G[rows]): row j expresses slot wanted[j] over
-  // the k survivors. When the survivors are the k data slots, inv is the
-  // identity and the rows are the generator's own.
-  Matrix coeffs = generator_.select_rows(
-      std::vector<std::size_t>(wanted.begin(), wanted.end()));
-  bool rows_are_data = true;
-  for (std::size_t s = 0; s < k_; ++s) rows_are_data &= rows[s] == s;
-  if (!rows_are_data) {
-    auto inv = generator_.select_rows(rows).inverted();
-    if (!inv.is_ok()) {
-      return common::internal_error("generator submatrix not invertible");
-    }
-    coeffs = coeffs.mul(inv.value());
-  }
-
-  std::vector<common::ByteSpan> srcs;
-  srcs.reserve(k_);
-  for (std::size_t s = 0; s < k_; ++s) srcs.push_back(*shards[rows[s]]);
-  const auto& gf = GF256::instance();
-  for (std::size_t j = 0; j < wanted.size(); ++j) {
-    gf.mul_region_multi(out[j], srcs, coeffs.row(j));
+  auto plan = this->plan(shards, wanted);
+  if (!plan.is_ok()) return plan.status();
+  for (std::size_t j = 0; j < out.size(); ++j) {
+    if (auto st = plan.value().apply(j, 0, out[j]); !st.is_ok()) return st;
   }
   return common::Status::ok();
 }

@@ -16,6 +16,32 @@
 
 namespace hyrd::erasure {
 
+/// How to compute some shard slots (data or parity) from one set of k
+/// survivors: the survivors' views and one coefficient row
+/// G[w] * inv(G[rows]) per wanted slot. ReedSolomon::plan builds it once per
+/// stripe, with every check on the survivors and the wanted slots; apply()
+/// then runs per column and allocates nothing. It views the survivors'
+/// bytes, which must outlive it.
+class DecodePlan {
+ public:
+  /// Size of the survivor shards.
+  [[nodiscard]] std::size_t shard_size() const { return shard_size_; }
+
+  /// Writes bytes [offset, offset + out.size()) of wanted slot `j` (its
+  /// index in the plan's `wanted`) into `out`, overwriting it: `out` needs
+  /// no zero-fill. Fails with kInvalidArgument if `j` is not an output of
+  /// the plan or the range passes the end of the shards.
+  [[nodiscard]] common::Status apply(std::size_t j, std::size_t offset,
+                                     common::MutByteSpan out) const;
+
+ private:
+  friend class ReedSolomon;
+
+  std::vector<common::ByteSpan> srcs_;  // the k survivors, in row order
+  Matrix coeffs_;                       // one row per wanted slot
+  std::size_t shard_size_ = 0;
+};
+
 class ReedSolomon {
  public:
   /// Requires 1 <= k, 1 <= m, k + m <= 256.
@@ -25,27 +51,27 @@ class ReedSolomon {
   [[nodiscard]] std::size_t parity_shards() const { return m_; }
   [[nodiscard]] std::size_t total_shards() const { return k_ + m_; }
 
-  /// Computes m parity shards from k equally sized data shards.
+  /// Computes m parity shards from k equally sized data shards: plan() of
+  /// the parity slots over the data slots, applied once. To encode into
+  /// caller buffers (no zero-fill needed), apply such a plan directly.
   [[nodiscard]] common::Result<std::vector<common::Bytes>> encode(
       std::span<const common::Bytes> data) const;
 
-  /// Allocation-free encode into caller-provided parity buffers sized
-  /// like the data shards. Parity is overwritten, never read, so the
-  /// buffers need no zero-fill (write-once arenas, DESIGN.md §9). The
-  /// stripe writer passes uninitialised arena memory, one column of every
-  /// shard at a time: parity is positional.
-  [[nodiscard]] common::Status encode_into(
-      std::span<const common::ByteSpan> data,
-      std::span<const common::MutByteSpan> parity) const;
+  /// Plans shard slots `wanted` (data or parity) from the present shards.
+  /// `shards` holds k+m entries in code order (data first, parity after);
+  /// std::nullopt marks a missing shard. The first k present shards are
+  /// the survivors; when they are the k data slots no inverse is needed.
+  /// Fails with kDataLoss if fewer than k shards are present and with
+  /// kInvalidArgument on a wrong slot count, mixed shard sizes or a wanted
+  /// slot out of range.
+  [[nodiscard]] common::Result<DecodePlan> plan(
+      std::span<const std::optional<common::ByteSpan>> shards,
+      std::span<const std::size_t> wanted) const;
 
-  /// Computes shard slot `wanted[j]` (data or parity) into `out[j]` from
-  /// the present shards, which are only read. `shards` holds k+m entries
-  /// in code order (data first, parity after); std::nullopt marks a
-  /// missing shard. Each wanted slot is one coefficient row
-  /// G[w] * inv(G[rows]) applied to k survivors and overwrites its output,
-  /// which needs no zero-fill. An output may be shorter than the shards:
-  /// only that prefix is computed. Fails with kDataLoss if fewer than k
-  /// shards are present.
+  /// plan() then apply() of every wanted slot: computes slot `wanted[j]`
+  /// into `out[j]` from the present shards, which are only read. An output
+  /// may be shorter than the shards: only that prefix is computed. Outputs
+  /// are overwritten and need no zero-fill.
   [[nodiscard]] common::Status reconstruct_into(
       std::span<const std::optional<common::ByteSpan>> shards,
       std::span<const std::size_t> wanted,

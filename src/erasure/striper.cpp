@@ -5,48 +5,55 @@
 #include <cassert>
 #include <cstring>
 
-#include "common/copy_meter.h"
-
 namespace hyrd::erasure {
 
 namespace {
 
-/// Read-only views of the present shards, with their common size.
-struct Survivors {
-  std::vector<std::optional<common::ByteSpan>> views;
-  std::size_t shard_size = 0;
-};
+constexpr std::size_t kColumn = Striper::kColumn;
 
-/// Fails with kInvalidArgument if the present shards differ in size and
-/// with kDataLoss if fewer than k are present.
-common::Result<Survivors> survivors_of(
-    std::span<const std::optional<common::Buffer>> shards, std::size_t k) {
-  Survivors out;
-  out.views.resize(shards.size());
-  std::size_t present = 0;
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (!shards[i].has_value()) continue;
-    if (present++ == 0) out.shard_size = shards[i]->size();
-    if (shards[i]->size() != out.shard_size) {
-      return common::invalid_argument("present shards differ in size");
-    }
-    out.views[i] = shards[i]->span();
-  }
-  if (present < k) return common::data_loss("fewer than k shards present");
-  return out;
+/// Bytes of the object held by data slot `slot`; the rest of the shard is
+/// zero padding.
+std::size_t data_bytes(std::uint64_t object_size, std::size_t shard_size,
+                       std::size_t slot) {
+  const std::uint64_t start = static_cast<std::uint64_t>(slot) * shard_size;
+  if (start >= object_size) return 0;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(shard_size, object_size - start));
 }
 
-/// reconstruct_into over column [off, off + width) of every survivor;
-/// `dst[j]` receives that column (or its prefix) of slot `wanted[j]`.
-bool reconstruct_column(const ReedSolomon& codec, const Survivors& s,
-                        std::size_t off, std::size_t width,
-                        std::span<const std::size_t> wanted,
-                        std::span<const common::MutByteSpan> dst) {
-  std::vector<std::optional<common::ByteSpan>> src(s.views.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    if (s.views[i].has_value()) src[i] = s.views[i]->subspan(off, width);
+// The column grid every pass shares: column c of a run of bytes is its
+// bytes [c * kColumn, (c + 1) * kColumn). A pass hashes each run column by
+// column and folds the column CRCs into the run's CRC.
+
+std::size_t columns_of(std::size_t len) {
+  return (len + kColumn - 1) / kColumn;
+}
+
+/// Bytes of a `len`-byte run that fall in column `c`.
+std::size_t column_bytes(std::size_t len, std::size_t c) {
+  const std::size_t off = c * kColumn;
+  return len > off ? std::min(kColumn, len - off) : std::size_t{0};
+}
+
+/// CRC32C of a `len`-byte run from the CRCs of its columns, crcs[c * stride]
+/// holding column c's.
+std::uint32_t fold_columns(const std::uint32_t* crcs, std::size_t stride,
+                           std::size_t len) {
+  std::uint32_t crc = 0;
+  for (std::size_t c = 0; c < columns_of(len); ++c) {
+    crc = common::crc32c_combine(crc, crcs[c * stride], column_bytes(len, c));
   }
-  return codec.reconstruct_into(src, wanted, dst).is_ok();
+  return crc;
+}
+
+/// Read-only views of the present shards; ReedSolomon::plan checks them.
+std::vector<std::optional<common::ByteSpan>> views_of(
+    std::span<const std::optional<common::Buffer>> shards) {
+  std::vector<std::optional<common::ByteSpan>> views(shards.size());
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (shards[i].has_value()) views[i] = shards[i]->span();
+  }
+  return views;
 }
 
 }  // namespace
@@ -60,50 +67,147 @@ std::size_t Striper::shard_size_for(std::uint64_t object_size) const {
   return static_cast<std::size_t>((size + k - 1) / k);
 }
 
-std::size_t Striper::data_bytes(std::uint64_t object_size,
-                                std::size_t shard_size, std::size_t slot) {
-  const std::uint64_t start = static_cast<std::uint64_t>(slot) * shard_size;
-  if (start >= object_size) return 0;
-  return static_cast<std::size_t>(
-      std::min<std::uint64_t>(shard_size, object_size - start));
-}
-
-StripeSet Striper::encode(common::ByteSpan object) const {
+StripeSet Striper::encode(common::Buffer object,
+                          common::ThreadPool* pool) const {
+  const std::size_t k = geometry_.k;
+  const std::size_t total = geometry_.total();
   StripeSet set;
-  set.geometry = geometry_;
   set.object_size = object.size();
   set.shard_size = shard_size_for(object.size());
-  set.object_crc = common::crc32c(object);
+  const std::size_t shard_size = set.shard_size;
 
-  // One write-once arena for the whole stripe: [k data shards | m parity
-  // shards]. The object is copied in, only the tail padding is zeroed, and
-  // parity is encoded straight into its region. Then the arena is frozen
-  // and sliced per shard — every shard is a view, not an allocation.
-  const std::size_t total = geometry_.total();
-  const std::size_t data_len = geometry_.k * set.shard_size;
-  auto arena = common::MutableBuffer::for_overwrite(total * set.shard_size);
-  arena.write(0, object);
-  std::memset(arena.data() + object.size(), 0, data_len - object.size());
+  // Every full data shard is an O(1) slice of the object (a store keeps it
+  // by refbump, no memcpy anywhere on its way down); only a shard that
+  // crosses or sits past the end needs padding. The padded shards and the
+  // m parity shards share one write-once side arena, sliced per shard.
+  set.shards.resize(total);
+  std::vector<std::size_t> real(total, shard_size);  // bytes before padding
+  std::vector<std::size_t> side;                     // slots in the arena
+  for (std::size_t i = 0; i < k; ++i) {
+    real[i] = data_bytes(object.size(), shard_size, i);
+    if (real[i] == shard_size) {
+      set.shards[i] = object.slice(i * shard_size, shard_size);
+    } else {
+      side.push_back(i);
+    }
+  }
+  for (std::size_t i = k; i < total; ++i) side.push_back(i);
+  auto arena = common::MutableBuffer::for_overwrite(side.size() * shard_size);
+  std::vector<std::optional<common::ByteSpan>> views(total);
+  for (std::size_t i = 0; i < k; ++i) views[i] = set.shards[i].span();
+  for (std::size_t j = 0; j < side.size(); ++j) {
+    views[side[j]] = arena.span(j * shard_size, shard_size);
+  }
+  const std::size_t padded = side.size() - geometry_.m;
+  auto plan = codec_.plan(
+      views, std::span<const std::size_t>(side).subspan(padded));
+  assert(plan.is_ok());
 
-  std::vector<common::ByteSpan> data_views(geometry_.k);
-  for (std::size_t i = 0; i < geometry_.k; ++i) {
-    data_views[i] = arena.span(i * set.shard_size, set.shard_size);
-  }
-  std::vector<common::MutByteSpan> parity_views(geometry_.m);
-  for (std::size_t p = 0; p < geometry_.m; ++p) {
-    parity_views[p] = arena.span((geometry_.k + p) * set.shard_size,
-                                 set.shard_size);
-  }
-  const auto st = codec_.encode_into(data_views, parity_views);
-  assert(st.is_ok());
-  (void)st;
+  // Column pass: each task owns one kColumn-byte column of every shard.
+  // Every arena byte is written exactly once — a padded shard's object
+  // bytes copied in, its padding zeroed, parity overwritten from the plan
+  // — and every shard's column is then hashed while it is still in cache.
+  const std::size_t columns = columns_of(shard_size);
+  std::vector<std::uint32_t> column_crcs(columns * total);  // [column][slot]
+  common::for_each(pool, columns, [&](std::size_t c) {
+    const std::size_t off = c * kColumn;
+    const std::size_t len = column_bytes(shard_size, c);
+    for (std::size_t j = 0; j < padded; ++j) {
+      const std::size_t n = column_bytes(real[side[j]], c);
+      arena.write(j * shard_size + off,
+                  object.span().subspan(
+                      std::min(side[j] * shard_size + off, object.size()), n));
+      std::memset(arena.data() + j * shard_size + off + n, 0, len - n);
+    }
+    for (std::size_t p = 0; p < geometry_.m; ++p) {
+      [[maybe_unused]] const auto st = plan.value().apply(
+          p, off, arena.span((padded + p) * shard_size + off, len));
+      assert(st.is_ok());
+    }
+    for (std::size_t i = 0; i < total; ++i) {
+      column_crcs[c * total + i] =
+          common::crc32c(views[i]->subspan(off, column_bytes(real[i], c)));
+    }
+  });
 
   common::Buffer frozen = std::move(arena).freeze();
-  set.shards.reserve(total);
+  for (std::size_t j = 0; j < side.size(); ++j) {
+    set.shards[side[j]] = frozen.slice(j * shard_size, shard_size);
+  }
+  // A data shard's CRC covers its object bytes, feeds the object CRC and is
+  // then extended over the zero padding.
+  set.shard_crcs.resize(total);
   for (std::size_t i = 0; i < total; ++i) {
-    set.shards.push_back(frozen.slice(i * set.shard_size, set.shard_size));
+    std::uint32_t crc = fold_columns(column_crcs.data() + i, total, real[i]);
+    if (i < k) {
+      set.object_crc = common::crc32c_combine(set.object_crc, crc, real[i]);
+      crc = common::crc32c_zero_extend(crc, shard_size - real[i]);
+    }
+    set.shard_crcs[i] = crc;
   }
   return set;
+}
+
+std::vector<bool> Striper::check(
+    std::uint64_t object_size, std::span<const std::uint32_t> shard_crcs,
+    std::span<const std::size_t> slots, std::span<const common::ByteSpan> frags,
+    std::span<std::optional<std::uint32_t>> data_crcs,
+    common::ThreadPool* pool) const {
+  const auto digest = [&](std::size_t j) -> std::uint32_t {
+    return slots[j] < shard_crcs.size() ? shard_crcs[slots[j]]
+                                        : 0;  // 0: digest unknown
+  };
+  // Bytes of fragment j before its padding (all of a parity fragment).
+  const auto object_bytes = [&](std::size_t j) {
+    return slots[j] < geometry_.k
+               ? data_bytes(object_size, frags[j].size(), slots[j])
+               : frags[j].size();
+  };
+  // A fragment with a digest is hashed as two runs, its object bytes and
+  // its padding, each cut into columns: `len` bytes of fragment `frag`
+  // from `off` per piece, in fragment, then offset order.
+  struct Piece {
+    std::size_t frag = 0, off = 0, len = 0;
+  };
+  std::vector<Piece> pieces;
+  std::size_t bytes = 0;
+  for (std::size_t j = 0; j < frags.size(); ++j) {
+    if (digest(j) == 0) continue;
+    const std::size_t n = object_bytes(j);
+    const std::size_t pad = frags[j].size() - n;
+    bytes += frags[j].size();
+    for (std::size_t c = 0; c < columns_of(n); ++c) {
+      pieces.push_back({j, c * kColumn, column_bytes(n, c)});
+    }
+    for (std::size_t c = 0; c < columns_of(pad); ++c) {
+      pieces.push_back({j, n + c * kColumn, column_bytes(pad, c)});
+    }
+  }
+  std::vector<std::uint32_t> crcs(pieces.size());
+  // Fragments that fit one column together are hashed inline: handing
+  // them to the pool costs more than it saves.
+  common::for_each(bytes > kColumn ? pool : nullptr, pieces.size(),
+                   [&](std::size_t i) {
+                     const Piece& p = pieces[i];
+                     crcs[i] =
+                         common::crc32c(frags[p.frag].subspan(p.off, p.len));
+                   });
+
+  std::vector<bool> intact(frags.size(), true);
+  const std::uint32_t* at = crcs.data();
+  for (std::size_t j = 0; j < frags.size(); ++j) {
+    if (digest(j) == 0) continue;
+    const std::size_t n = object_bytes(j);
+    const std::size_t pad = frags[j].size() - n;
+    const std::uint32_t object_crc = fold_columns(at, 1, n);
+    at += columns_of(n);
+    const std::uint32_t whole =
+        common::crc32c_combine(object_crc, fold_columns(at, 1, pad), pad);
+    at += columns_of(pad);
+    intact[j] = whole == digest(j);
+    if (intact[j] && slots[j] < geometry_.k) data_crcs[slots[j]] = object_crc;
+  }
+  return intact;
 }
 
 common::Result<common::Buffer> Striper::assemble(
@@ -115,15 +219,16 @@ common::Result<common::Buffer> Striper::assemble(
   if (shards.size() != geometry_.total()) {
     return common::invalid_argument("wrong fragment slot count");
   }
-  auto survivors = survivors_of(shards, k);
-  if (!survivors.is_ok()) return survivors.status();
-  const Survivors& live = survivors.value();
-  const auto& views = live.views;
-  const std::size_t shard_size = live.shard_size;
+  const auto views = views_of(shards);
   std::vector<std::size_t> missing;  // data slots to reconstruct
   for (std::size_t i = 0; i < k; ++i) {
     if (!views[i].has_value()) missing.push_back(i);
   }
+  // The survivor checks and, when a data slot is missing, its decode rows,
+  // once for the whole stripe.
+  const auto plan = codec_.plan(views, missing);
+  if (!plan.is_ok()) return plan.status();
+  const std::size_t shard_size = plan.value().shard_size();
   if (object_size > static_cast<std::uint64_t>(k) * shard_size) {
     return common::invalid_argument("shards too small for the object");
   }
@@ -143,8 +248,8 @@ common::Result<common::Buffer> Striper::assemble(
 
   std::optional<common::Buffer> object;
   if (missing.empty()) {
-    // Fragments still sliced from one writer arena (or handed back by
-    // reference from one block) reassemble with a refbump.
+    // Fragments still sliced from one object (or handed back by reference
+    // from one block) reassemble with a refbump.
     std::vector<common::Buffer> data;
     data.reserve(k);
     for (std::size_t i = 0; i < k; ++i) data.push_back(*shards[i]);
@@ -153,45 +258,32 @@ common::Result<common::Buffer> Striper::assemble(
 
   // Otherwise every output byte is written exactly once, column by column
   // (on the pool when one is given): present data slots are copied,
-  // missing ones reconstructed in place, and the bytes to hash are hashed
-  // while the column is in cache.
-  const std::size_t columns = (shard_size + kColumn - 1) / kColumn;
-  // Object bytes of data slot `slot` inside column `c`.
-  const auto column_bytes = [&](std::size_t c, std::size_t slot) {
-    const std::size_t off = c * kColumn;
-    const std::size_t n = bytes_of(slot);
-    return n > off ? std::min(kColumn, n - off) : std::size_t{0};
-  };
-  std::vector<std::uint32_t> column_crcs(columns * k);  // [column][slot]
+  // missing ones reconstructed in place from one plan, and the bytes to
+  // hash are hashed while the column is in cache.
   std::optional<common::MutableBuffer> out;
   if (!object.has_value()) out = common::MutableBuffer::for_overwrite(len);
+  const std::size_t columns = columns_of(shard_size);
+  std::vector<std::uint32_t> column_crcs(columns * k);  // [column][slot]
   std::atomic<bool> failed{false};
   const auto column = [&](std::size_t c) {
     const std::size_t off = c * kColumn;
     if (out.has_value()) {
       for (std::size_t i = 0; i < k; ++i) {
-        const std::size_t n = column_bytes(c, i);
+        const std::size_t n = column_bytes(bytes_of(i), c);
         if (views[i].has_value() && n > 0) {
           out->write(i * shard_size + off, views[i]->subspan(off, n));
         }
       }
-      if (!missing.empty()) {
-        std::vector<common::MutByteSpan> dst;
-        dst.reserve(missing.size());
-        for (std::size_t slot : missing) {
-          dst.push_back(out->span(std::min(slot * shard_size + off, len),
-                                  column_bytes(c, slot)));
-        }
-        if (!reconstruct_column(codec_, live, off,
-                                std::min(kColumn, shard_size - off), missing,
-                                dst)) {
-          failed = true;
-        }
+      for (std::size_t j = 0; j < missing.size(); ++j) {
+        const std::size_t slot = missing[j];
+        const auto dst = out->span(std::min(slot * shard_size + off, len),
+                                   column_bytes(bytes_of(slot), c));
+        if (!plan.value().apply(j, off, dst).is_ok()) failed = true;
       }
     }
     const std::uint8_t* base = out.has_value() ? out->data() : object->data();
     for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t n = column_bytes(c, i);
+      const std::size_t n = column_bytes(bytes_of(i), c);
       if (hash[i] && n > 0) {
         column_crcs[c * k + i] =
             common::crc32c(common::ByteSpan(base + i * shard_size + off, n));
@@ -199,7 +291,8 @@ common::Result<common::Buffer> Striper::assemble(
     }
   };
   // Joined by refbump with every CRC known: no byte to touch.
-  if (out.has_value() || std::find(hash.begin(), hash.end(), true) != hash.end()) {
+  if (out.has_value() ||
+      std::find(hash.begin(), hash.end(), true) != hash.end()) {
     common::for_each(pool, columns, column);
   }
   if (failed) return common::internal_error("column reconstruction failed");
@@ -210,16 +303,9 @@ common::Result<common::Buffer> Striper::assemble(
   if (crc != 0) {
     std::uint32_t got = 0;
     for (std::size_t i = 0; i < k && bytes_of(i) > 0; ++i) {
-      std::uint32_t part = 0;
-      if (hash[i]) {
-        for (std::size_t c = 0; c < columns; ++c) {
-          if (const std::size_t n = column_bytes(c, i); n > 0) {
-            part = common::crc32c_combine(part, column_crcs[c * k + i], n);
-          }
-        }
-      } else {
-        part = *data_crcs[i];
-      }
+      const std::uint32_t part =
+          hash[i] ? fold_columns(column_crcs.data() + i, k, bytes_of(i))
+                  : *data_crcs[i];
       got = common::crc32c_combine(got, part, bytes_of(i));
     }
     if (got != crc) {
@@ -232,31 +318,25 @@ common::Result<common::Buffer> Striper::assemble(
 common::Result<std::vector<common::Buffer>> Striper::rebuild(
     std::span<const std::optional<common::Buffer>> shards,
     std::span<const std::size_t> wanted, common::ThreadPool* pool) const {
-  if (shards.size() != geometry_.total()) {
-    return common::invalid_argument("wrong fragment slot count");
-  }
-  auto survivors = survivors_of(shards, geometry_.k);
-  if (!survivors.is_ok()) return survivors.status();
-  const Survivors& live = survivors.value();
-  const std::size_t shard_size = live.shard_size;
+  const auto plan = codec_.plan(views_of(shards), wanted);
+  if (!plan.is_ok()) return plan.status();
+  const std::size_t shard_size = plan.value().shard_size();
   std::vector<common::MutableBuffer> outs;
   outs.reserve(wanted.size());
   for (std::size_t j = 0; j < wanted.size(); ++j) {
     outs.push_back(common::MutableBuffer::for_overwrite(shard_size));
   }
   std::atomic<bool> failed{false};
-  common::for_each(pool, (shard_size + kColumn - 1) / kColumn,
-                   [&](std::size_t c) {
+  common::for_each(pool, columns_of(shard_size), [&](std::size_t c) {
     const std::size_t off = c * kColumn;
-    const std::size_t width = std::min(kColumn, shard_size - off);
-    std::vector<common::MutByteSpan> dst;
-    dst.reserve(outs.size());
-    for (auto& o : outs) dst.push_back(o.span(off, width));
-    if (!reconstruct_column(codec_, live, off, width, wanted, dst)) {
-      failed = true;
+    const std::size_t width = column_bytes(shard_size, c);
+    for (std::size_t j = 0; j < outs.size(); ++j) {
+      if (!plan.value().apply(j, off, outs[j].span(off, width)).is_ok()) {
+        failed = true;
+      }
     }
   });
-  if (failed) return common::invalid_argument("bad wanted slot");
+  if (failed) return common::internal_error("column reconstruction failed");
   std::vector<common::Buffer> rebuilt;
   rebuilt.reserve(outs.size());
   for (auto& o : outs) rebuilt.push_back(std::move(o).freeze());

@@ -12,12 +12,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <optional>
 #include <vector>
 
 #include "cloud/profiles.h"
 #include "common/buffer.h"
 #include "common/bytes.h"
 #include "core/hyrd_client.h"
+#include "erasure/striper.h"
 #include "gcsapi/session.h"
 #include "sim/event_queue.h"
 #include "sim/scaleout.h"
@@ -110,6 +112,59 @@ TEST(AllocBudget, FleetClientOpStaysWithinBudget) {
               static_cast<unsigned long long>(ops));
   RecordProperty("allocs_per_op", std::to_string(per_op));
   EXPECT_LE(per_op, kAllocsPerOpBudget);
+}
+
+/// Allocations made by one degraded Striper::assemble (data slot 0 lost)
+/// and one Striper::rebuild of that slot, without a pool, for a k=2, m=1
+/// stripe whose shards span `columns` columns (the last one partial).
+struct StripeAllocs {
+  std::uint64_t assemble = 0;
+  std::uint64_t rebuild = 0;
+};
+
+StripeAllocs stripe_allocs(std::size_t columns) {
+  const erasure::Striper striper({.k = 2, .m = 1});
+  const std::size_t size = 2 * columns * erasure::Striper::kColumn - 3;
+  const erasure::StripeSet set =
+      striper.encode(common::Buffer::from(common::patterned(size, columns)));
+  std::vector<std::optional<common::Buffer>> shards(set.shards.begin(),
+                                                    set.shards.end());
+  shards[0].reset();
+  auto slots = shards;
+  const std::vector<std::size_t> wanted = {0};
+  StripeAllocs out;
+
+  g_counting.store(true);
+  std::uint64_t before = g_allocs.load();
+  auto object =
+      striper.assemble(set.object_size, set.object_crc, std::move(slots));
+  out.assemble = g_allocs.load() - before;
+  before = g_allocs.load();
+  auto rebuilt = striper.rebuild(shards, wanted);
+  out.rebuild = g_allocs.load() - before;
+  g_counting.store(false);
+
+  EXPECT_TRUE(object.is_ok());
+  EXPECT_TRUE(rebuilt.is_ok());
+  if (rebuilt.is_ok()) {
+    EXPECT_EQ(rebuilt.value()[0], set.shards[0]);
+  }
+  return out;
+}
+
+// The decode rows are planned once per stripe and the per-column work
+// allocates nothing, so a stripe's allocations do not depend on its size.
+TEST(AllocBudget, StripeAllocationsDoNotGrowWithColumns) {
+  const StripeAllocs one = stripe_allocs(1);
+  const StripeAllocs sixteen = stripe_allocs(16);
+  std::printf("degraded assemble: %llu allocations at 1 and %llu at 16 "
+              "columns; rebuild: %llu and %llu\n",
+              static_cast<unsigned long long>(one.assemble),
+              static_cast<unsigned long long>(sixteen.assemble),
+              static_cast<unsigned long long>(one.rebuild),
+              static_cast<unsigned long long>(sixteen.rebuild));
+  EXPECT_EQ(one.assemble, sixteen.assemble);
+  EXPECT_EQ(one.rebuild, sixteen.rebuild);
 }
 
 }  // namespace

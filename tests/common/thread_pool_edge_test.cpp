@@ -1,10 +1,13 @@
-// A task that throws must reach its caller through the future, without
-// killing the worker that ran it: the pool stays fully usable afterwards.
+// A for_each call that throws must reach its caller, after every helper has
+// left the callback (the callback's frame is the caller's), without hanging
+// the call or killing the worker that ran it: the pool stays fully usable
+// afterwards.
 #include <gtest/gtest.h>
 
-#include <future>
+#include <atomic>
+#include <chrono>
 #include <stdexcept>
-#include <vector>
+#include <thread>
 
 #include "common/thread_pool.h"
 
@@ -12,21 +15,33 @@ namespace hyrd::common {
 namespace {
 
 TEST(ThreadPoolEdge, ThrowingTaskRethrowsWithoutDeadlock) {
-  ThreadPool pool(4);
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 64; ++i) {
-    futs.push_back(pool.submit([i] {
-      if (i == 13) throw std::runtime_error("boom 13");
-    }));
-  }
-  for (int i = 0; i < 64; ++i) {
-    if (i == 13) {
-      EXPECT_THROW(futs[i].get(), std::runtime_error);
-    } else {
-      futs[i].get();
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    // Index 40 throws, on whichever thread claims it; then every index
+    // throws, so the caller's own first call throws too.
+    for (const bool all_throw : {false, true}) {
+      std::atomic<int> inside{0};
+      bool caught = false;
+      try {
+        pool.for_each(64, [&](std::size_t i) {
+          ++inside;
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+          --inside;
+          if (all_throw || i == 40) {
+            throw std::runtime_error("boom");
+          }
+        });
+      } catch (const std::runtime_error&) {
+        caught = true;
+      }
+      EXPECT_TRUE(caught) << "round " << round;
+      // Rethrown only after every helper left the callback.
+      EXPECT_EQ(inside.load(), 0) << "round " << round;
     }
   }
-  EXPECT_EQ(pool.submit([] { return 7; }).get(), 7);
+  std::atomic<int> hits{0};
+  pool.for_each(64, [&](std::size_t) { ++hits; });
+  EXPECT_EQ(hits.load(), 64);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -13,16 +12,12 @@
 namespace hyrd::common {
 namespace {
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  auto f = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(f.get(), 42);
-}
-
 TEST(ThreadPool, ZeroThreadRequestStillWorks) {
   ThreadPool pool(0);  // clamped to 1
   EXPECT_EQ(pool.size(), 1u);
-  EXPECT_EQ(pool.submit([] { return 1; }).get(), 1);
+  std::atomic<int> hits{0};
+  pool.for_each(8, [&](std::size_t) { ++hits; });
+  EXPECT_EQ(hits.load(), 8);
 }
 
 TEST(ThreadPool, ForEachRunsEveryIndexOnce) {
@@ -38,58 +33,23 @@ TEST(ThreadPool, ForEachRunsEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ForEachFromManyCallersShareOnePool) {
-  // Callers that each fan out over the same pool all finish: every caller
-  // drains its own work, so a busy pool never blocks it.
-  ThreadPool pool(2);
-  std::atomic<long> total{0};
-  std::vector<std::thread> callers;
-  for (int t = 0; t < 4; ++t) {
-    callers.emplace_back([&] {
-      for (int round = 0; round < 50; ++round) {
-        pool.for_each(16, [&](std::size_t i) {
-          total += static_cast<long>(i);
-        });
-      }
-    });
-  }
-  for (auto& c : callers) c.join();
-  EXPECT_EQ(total.load(), 4L * 50 * (15 * 16 / 2));
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 1000; ++i) {
-    futs.push_back(pool.submit([&count] { count++; }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(count.load(), 1000);
-}
-
-TEST(ThreadPool, SubmitStressFromManyExternalThreads) {
-  // Several caller threads submitting to one shared pool, each waiting on
-  // its own futures: every caller must see each of its own tasks run
-  // exactly once. This is the shape of concurrent stripe writers sharing
-  // one session pool for their encode and CRC tasks.
+  // Several caller threads fanning out over one shared pool, the shape of
+  // concurrent stripe writers sharing one session pool: every caller sees
+  // each of its own indices run exactly once, and a busy pool never blocks
+  // a caller, which drains its own work.
   ThreadPool pool(4);
   constexpr int kCallers = 6;
   constexpr int kRounds = 25;
-  constexpr std::size_t kTasks = 32;
+  constexpr std::size_t kIndices = 32;
   std::atomic<int> failures{0};
   std::vector<std::thread> callers;
   callers.reserve(kCallers);
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&pool, &failures] {
       for (int round = 0; round < kRounds; ++round) {
-        std::vector<std::atomic<int>> hits(kTasks);
-        std::vector<std::future<void>> futs;
-        futs.reserve(kTasks);
-        for (std::size_t i = 0; i < kTasks; ++i) {
-          futs.push_back(pool.submit([&hits, i] { hits[i]++; }));
-        }
-        for (auto& f : futs) f.get();
-        for (std::size_t i = 0; i < kTasks; ++i) {
+        std::vector<std::atomic<int>> hits(kIndices);
+        pool.for_each(kIndices, [&](std::size_t i) { hits[i]++; });
+        for (std::size_t i = 0; i < kIndices; ++i) {
           if (hits[i].load() != 1) failures++;
         }
       }
@@ -99,22 +59,25 @@ TEST(ThreadPool, SubmitStressFromManyExternalThreads) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+TEST(ThreadPool, ManyTasksComplete) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  pool.for_each(1000, [&](std::size_t) { count++; });
+  EXPECT_EQ(count.load(), 1000);
+}
+
 TEST(ThreadPool, TasksRunConcurrently) {
   ThreadPool pool(4);
   std::atomic<int> inside{0};
   std::atomic<int> peak{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 8; ++i) {
-    futs.push_back(pool.submit([&inside, &peak] {
-      const int now = ++inside;
-      int p = peak.load();
-      while (now > p && !peak.compare_exchange_weak(p, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      --inside;
-    }));
-  }
-  for (auto& f : futs) f.get();
+  pool.for_each(8, [&](std::size_t) {
+    const int now = ++inside;
+    int p = peak.load();
+    while (now > p && !peak.compare_exchange_weak(p, now)) {
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    --inside;
+  });
   EXPECT_GT(peak.load(), 1);
 }
 

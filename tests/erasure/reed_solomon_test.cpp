@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 
 namespace hyrd::erasure {
@@ -68,7 +70,9 @@ TEST(ReedSolomon, VerifyRejectsCorruption) {
 }
 
 TEST(ReedSolomon, EncodeIntoOverwritesNonZeroParity) {
-  // Parity buffers need no zero-fill: stale bytes are overwritten.
+  // Encoding into caller buffers is a plan of the parity slots over the
+  // data slots, applied per buffer; the buffers need no zero-fill: stale
+  // bytes are overwritten.
   for (const auto& [k, m] : {std::pair<std::size_t, std::size_t>{2, 1},
                             {3, 1}, {4, 2}, {8, 4}}) {
     ReedSolomon rs(k, m);
@@ -77,9 +81,15 @@ TEST(ReedSolomon, EncodeIntoOverwritesNonZeroParity) {
     ASSERT_TRUE(want.is_ok());
     std::vector<common::Bytes> parity(m, common::Bytes(1000, 0xA5));
     parity[0] = common::patterned(1000, 99);
-    const std::vector<common::ByteSpan> views(data.begin(), data.end());
-    const std::vector<common::MutByteSpan> out(parity.begin(), parity.end());
-    ASSERT_TRUE(rs.encode_into(views, out).is_ok());
+    std::vector<std::optional<common::ByteSpan>> views(k + m);
+    std::vector<std::size_t> parity_slots;
+    for (std::size_t i = 0; i < k; ++i) views[i] = common::ByteSpan(data[i]);
+    for (std::size_t p = 0; p < m; ++p) parity_slots.push_back(k + p);
+    const auto plan = rs.plan(views, parity_slots);
+    ASSERT_TRUE(plan.is_ok());
+    for (std::size_t p = 0; p < m; ++p) {
+      ASSERT_TRUE(plan.value().apply(p, 0, parity[p]).is_ok());
+    }
     EXPECT_EQ(parity, want.value()) << "k=" << k << " m=" << m;
   }
 }
@@ -137,6 +147,28 @@ TEST(ReedSolomon, ReconstructIntoComputesOnlyTheOutputPrefix) {
   std::vector<common::Bytes> out;
   ASSERT_TRUE(rebuild(rs, shards, {0}, 21, out).is_ok());
   EXPECT_EQ(out[0], common::Bytes(data[0].begin(), data[0].begin() + 21));
+}
+
+TEST(ReedSolomon, PlanApplyRejectsBadOutputAndColumnPastTheEnd) {
+  ReedSolomon rs(2, 1);
+  const auto data = make_shards(2, 64, 11);
+  const auto parity = rs.encode(data);
+  ASSERT_TRUE(parity.is_ok());
+  const std::vector<std::optional<common::ByteSpan>> views = {
+      std::nullopt, common::ByteSpan(data[1]),
+      common::ByteSpan(parity.value()[0])};
+  const std::vector<std::size_t> wanted = {0};
+  const auto plan = rs.plan(views, wanted);
+  ASSERT_TRUE(plan.is_ok());
+  common::Bytes out(32, 0xA5);
+  EXPECT_TRUE(plan.value().apply(0, 32, out).is_ok());
+  EXPECT_EQ(out, common::Bytes(data[0].begin() + 32, data[0].end()));
+  EXPECT_EQ(plan.value().apply(1, 0, out).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.value().apply(0, 33, out).code(),
+            common::StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.value().apply(0, 65, common::MutByteSpan()).code(),
+            common::StatusCode::kInvalidArgument);
 }
 
 TEST(ReedSolomon, ParityDeltaMatchesReencode) {
@@ -228,6 +260,25 @@ TEST_P(ReedSolomonGeometryTest, AnyKOfNReconstructsAllErasurePatterns) {
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(out[i], all[i]) << "mask=" << mask << " shard=" << i;
     }
+
+    // One plan applied column by column (40, 40 and 16 bytes) into
+    // 0xA5-filled outputs equals the one-shot result.
+    std::vector<std::optional<common::ByteSpan>> views(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (shards[i].has_value()) views[i] = common::ByteSpan(*shards[i]);
+    }
+    const auto plan = rs.plan(views, every);
+    ASSERT_TRUE(plan.is_ok()) << "mask=" << mask;
+    EXPECT_EQ(plan.value().shard_size(), 96u);
+    std::vector<common::Bytes> columns(n, common::Bytes(96, 0xA5));
+    for (std::size_t off = 0; off < 96; off += 40) {
+      for (std::size_t j = 0; j < n; ++j) {
+        const common::MutByteSpan dst(columns[j].data() + off,
+                                      std::min<std::size_t>(40, 96 - off));
+        ASSERT_TRUE(plan.value().apply(j, off, dst).is_ok());
+      }
+    }
+    EXPECT_EQ(columns, out) << "mask=" << mask;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/copy_meter.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -104,16 +105,90 @@ TEST(Striper, RsGeometryRoundTrip) {
 }
 
 TEST(Striper, AssembleOfArenaSlicesCopiesNothing) {
+  // Full data shards are slices of the encoded object, so an object whose
+  // size is a multiple of k reassembles by refbump. A padded tail shard
+  // lives in the writer's side arena, so such an object is gathered once.
   Striper striper({.k = 3, .m = 1});
-  const common::Bytes object = common::patterned(10000, 21);
+  const auto object = common::Buffer::from(common::patterned(9999, 21));
   const StripeSet set = striper.encode(object);
   common::reset_copied_bytes();
   auto decoded =
       striper.assemble(set.object_size, set.object_crc, slots_of(set));
   EXPECT_EQ(common::copied_bytes(), 0u);
   ASSERT_TRUE(decoded.is_ok());
-  EXPECT_TRUE(decoded.value().same_block(set.shards[0]));
+  EXPECT_TRUE(decoded.value().same_block(object));
   EXPECT_EQ(decoded.value(), object);
+
+  const auto padded = common::Buffer::from(common::patterned(10000, 21));
+  const StripeSet tail = striper.encode(padded);
+  EXPECT_TRUE(tail.shards[0].same_block(padded));
+  EXPECT_FALSE(tail.shards[2].same_block(padded));
+  common::reset_copied_bytes();
+  decoded = striper.assemble(tail.object_size, tail.object_crc, slots_of(tail));
+  EXPECT_EQ(common::copied_bytes(), 10000u);
+  ASSERT_TRUE(decoded.is_ok());
+  EXPECT_EQ(decoded.value(), padded);
+}
+
+// The encoder hashes each byte once and derives the object CRC and the
+// padded shards' CRCs by combination; each must equal a direct CRC over
+// the object and over the shard as stored, on and off the pool.
+TEST(ErasureStripeCrcTest, CombinedCrcsMatchDirectComputation) {
+  common::ThreadPool pool(3);
+  for (const StripeGeometry geom : {StripeGeometry{.k = 2, .m = 1},
+                                    StripeGeometry{.k = 4, .m = 2}}) {
+    const Striper striper(geom);
+    const std::uint64_t k = geom.k;
+    for (const std::uint64_t size :
+         {std::uint64_t{0}, std::uint64_t{1}, k - 1, k, 4096 * k,
+          4096 * k + 1, std::uint64_t{1 << 20} + 1, std::uint64_t{8 << 20}}) {
+      const auto object =
+          common::Buffer::from(common::patterned(size, size + k));
+      for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                    &pool}) {
+        const StripeSet set = striper.encode(object, p);
+        EXPECT_EQ(set.object_crc, common::crc32c(object)) << size;
+        ASSERT_EQ(set.shards.size(), geom.total()) << size;
+        ASSERT_EQ(set.shard_crcs.size(), geom.total()) << size;
+        for (std::size_t i = 0; i < geom.total(); ++i) {
+          EXPECT_EQ(set.shards[i].size(), set.shard_size) << size;
+          EXPECT_EQ(set.shard_crcs[i], common::crc32c(set.shards[i]))
+              << size << " slot " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Striper, CheckVerifiesPaddingAndHandsBackDataCrcs) {
+  // A shard passes only if its bytes, padding included, match the recorded
+  // CRC; an intact data shard's object-byte CRC is handed back for
+  // assemble(), and a shard without a recorded digest passes unchecked.
+  common::ThreadPool pool(3);
+  const Striper striper({.k = 2, .m = 1});
+  const std::uint64_t size = 2 * Striper::kColumn + 3;  // slot 1 is padded
+  const auto object = common::Buffer::from(common::patterned(size, 25));
+  const StripeSet set = striper.encode(object);
+  const std::vector<std::size_t> slots = {0, 1, 2};
+  for (common::ThreadPool* p : {static_cast<common::ThreadPool*>(nullptr),
+                                &pool}) {
+    std::vector<common::Bytes> frags;
+    for (const auto& s : set.shards) frags.push_back(s.to_bytes());
+    frags[1].back() ^= 1;  // a pad byte
+    const std::vector<common::ByteSpan> views(frags.begin(), frags.end());
+    std::vector<std::optional<std::uint32_t>> data_crcs(2);
+    const auto verdicts =
+        striper.check(size, set.shard_crcs, slots, views, data_crcs, p);
+    EXPECT_EQ(verdicts, (std::vector<bool>{true, false, true}));
+    EXPECT_EQ(data_crcs[0],
+              common::crc32c(object.span().first(set.shard_size)));
+    EXPECT_FALSE(data_crcs[1].has_value());
+
+    std::vector<std::uint32_t> unknown = set.shard_crcs;
+    unknown[1] = 0;
+    EXPECT_EQ(striper.check(size, unknown, slots, views, data_crcs, p),
+              (std::vector<bool>{true, true, true}));
+  }
 }
 
 TEST(Striper, DegradedAssembleCopiesOnlyPresentDataBytes) {
