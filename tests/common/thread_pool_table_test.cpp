@@ -33,6 +33,32 @@ TEST(ThreadPool, ForEachRunsEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ForEachFromManyCallersShareOnePool) {
+  // Callers that each fan out over the same pool all finish: every caller
+  // drains its own work, so a busy pool never blocks it.
+  ThreadPool pool(2);
+  std::atomic<long> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 4; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 50; ++round) {
+        pool.for_each(16, [&](std::size_t i) {
+          total += static_cast<long>(i);
+        });
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(total.load(), 4L * 50 * (15 * 16 / 2));
+}
+
+TEST(ThreadPool, ManyTasksComplete) {
+  ThreadPool pool(4);
+  std::atomic<int> count{0};
+  pool.for_each(1000, [&](std::size_t) { count++; });
+  EXPECT_EQ(count.load(), 1000);
+}
+
+TEST(ThreadPool, SubmitStressFromManyExternalThreads) {
   // Several caller threads fanning out over one shared pool, the shape of
   // concurrent stripe writers sharing one session pool: every caller sees
   // each of its own indices run exactly once, and a busy pool never blocks
@@ -57,13 +83,6 @@ TEST(ThreadPool, ForEachFromManyCallersShareOnePool) {
   }
   for (auto& c : callers) c.join();
   EXPECT_EQ(failures.load(), 0);
-}
-
-TEST(ThreadPool, ManyTasksComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  pool.for_each(1000, [&](std::size_t) { count++; });
-  EXPECT_EQ(count.load(), 1000);
 }
 
 TEST(ThreadPool, TasksRunConcurrently) {
